@@ -42,8 +42,6 @@ from .lattice import (
     Boundary,
     GaugeFixing,
     Lattice,
-    Plaquette,
-    Staple,
     build_lattice,
     gauge_fix,
 )
@@ -81,10 +79,8 @@ __all__ = [
     "Lattice",
     "LengthMismatchError",
     "LinkTerm",
-    "Plaquette",
     "Sampler",
     "Schedule",
-    "Staple",
     "StartKind",
     "action",
     "action_density",

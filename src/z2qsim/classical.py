@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import limits
 from .ensemble import Ensemble, EnsembleMeta, Sampler
-from .lattice import GaugeFixing, Lattice
+from .lattice import GaugeFixing, Lattice, staple_masks
 
 
 @dataclass(frozen=True)
@@ -170,27 +169,6 @@ def flip_probability(u: int, c: int, beta: float) -> float:
     return 1.0 / (1.0 + math.exp(ds))
 
 
-@lru_cache(maxsize=32)
-def _staple_bit_masks(lattice: Lattice, gf: GaugeFixing) -> tuple[tuple[int, ...], ...]:
-    """Per free qubit: bit masks (over free qubits) of each staple's free links.
-
-    Fixed links contribute +1, so a staple's product on basis state b is
-    (-1)**popcount(b & mask); a mask of 0 gives the constant +1.
-    """
-    masks: list[tuple[int, ...]] = []
-    for link in gf.free:
-        per_staple = []
-        for staple in lattice.staple_link_array(link):
-            m = 0
-            for l in staple:
-                q = gf.qubit_of.get(int(l))
-                if q is not None:
-                    m |= 1 << q
-            per_staple.append(m)
-        masks.append(tuple(per_staple))
-    return tuple(masks)
-
-
 def _staple_sum_bits(state: int, masks: tuple[int, ...]) -> int:
     c = 0
     for m in masks:
@@ -203,7 +181,7 @@ def glauber_step(
 ) -> np.ndarray:
     """One Glauber update: pick a free link uniformly, flip with the heat-bath
     probability.  Fixed links are never touched.  Returns a new config."""
-    masks = _staple_bit_masks(lattice, gf)
+    masks = staple_masks(lattice, gf)
     state = gf.encode(config)
     q = int(rng.integers(gf.n_free))
     c = _staple_sum_bits(state, masks[q])
@@ -249,7 +227,7 @@ def mcmc_run(
     if n_configs < 1 or n_therm < 0 or stride < 1:
         raise ValueError("counts must be positive (n_therm may be 0)")
     rng = np.random.default_rng(seed)
-    masks = _staple_bit_masks(lattice, gf)
+    masks = staple_masks(lattice, gf)
     n_free = gf.n_free
     state = 0
     for q, bit in enumerate(rng.integers(0, 2, size=n_free)):

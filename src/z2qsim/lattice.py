@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,25 +21,6 @@ import numpy as np
 class Boundary(Enum):
     OPEN = "open"
     PERIODIC = "periodic"
-
-
-@dataclass(frozen=True)
-class Plaquette:
-    """Unit square based at ``site`` in the (mu, nu) coordinate plane."""
-
-    links: tuple[int, int, int, int]
-    site: int
-    axes: tuple[int, int]
-    # Orientation signs are irrelevant for Z2; kept for interface symmetry.
-    orientations: tuple[int, int, int, int] = (1, 1, 1, 1)
-
-
-@dataclass(frozen=True)
-class Staple:
-    """The three links completing one plaquette around ``parent_link``."""
-
-    links: tuple[int, int, int]
-    parent_link: int
 
 
 class Lattice:
@@ -146,7 +127,6 @@ class Lattice:
     # ----- plaquettes and staples -----
 
     def _build_plaquettes(self) -> None:
-        plaqs: list[Plaquette] = []
         rows: list[tuple[int, int, int, int]] = []
         for site in range(self.n_sites):
             for mu in range(self.ndim):
@@ -163,10 +143,8 @@ class Lattice:
                     )
                     if any(l < 0 for l in quad):
                         continue
-                    plaqs.append(Plaquette(links=quad, site=site, axes=(mu, nu)))
                     rows.append(quad)
-        self.plaquettes = tuple(plaqs)
-        self.n_plaquettes = len(plaqs)
+        self.n_plaquettes = len(rows)
         self.plaq_links = np.asarray(rows, dtype=np.int32)
 
         link_plaqs: list[list[int]] = [[] for _ in range(self.n_links)]
@@ -175,28 +153,24 @@ class Lattice:
                 link_plaqs[l].append(p)
         self._link_plaqs = tuple(tuple(ps) for ps in link_plaqs)
 
-    def staples_of(self, n: int) -> list[Staple]:
-        """One staple per plaquette containing link n."""
-        if not 0 <= n < self.n_links:
-            raise IndexError(f"link index {n} out of range")
-        out = []
-        for p in self._link_plaqs[n]:
-            rest = tuple(l for l in self.plaquettes[p].links if l != n)
-            out.append(Staple(links=rest, parent_link=n))
-        return out
-
     @cached_property
     def _staple_arrays(self) -> tuple[np.ndarray, ...]:
         arrs = []
-        for n in range(self.n_links):
-            rows = [s.links for s in self.staples_of(n)]
-            a = np.asarray(rows, dtype=np.int32).reshape(len(rows), 3)
+        for n, plaqs in enumerate(self._link_plaqs):
+            quads = self.plaq_links[list(plaqs)]
+            a = quads[quads != n].reshape(len(plaqs), 3)
             a.flags.writeable = False
             arrs.append(a)
         return tuple(arrs)
 
     def staple_link_array(self, n: int) -> np.ndarray:
-        """Staple links of link n as a read-only (n_staples, 3) index array."""
+        """Staple links of link n as a read-only (n_staples, 3) index array.
+
+        One row per plaquette containing link n: the plaquette's other three
+        links, in plaquette order.
+        """
+        if not 0 <= n < self.n_links:
+            raise IndexError(f"link index {n} out of range")
         return self._staple_arrays[n]
 
     def __repr__(self) -> str:
@@ -232,6 +206,19 @@ class GaugeFixing:
     @cached_property
     def qubit_of(self) -> dict[int, int]:
         return {link: q for q, link in enumerate(self.free)}
+
+    def bit_mask(self, links) -> int:
+        """OR of 1 << qubit over the free links among ``links``.
+
+        Fixed links sit at +1 and drop out, so the product of the given links
+        on basis state b is (-1)**popcount(b & mask).
+        """
+        mask = 0
+        for link in links:
+            q = self.qubit_of.get(int(link))
+            if q is not None:
+                mask |= 1 << q
+        return mask
 
     def decode(self, indices) -> np.ndarray:
         """Basis indices -> spin configurations (..., n_links) of int8 +-1."""
@@ -282,6 +269,14 @@ def gauge_fix(lattice: Lattice) -> GaugeFixing:
     return GaugeFixing(fixed=tuple(fixed), free=free, n_links=lattice.n_links)
 
 
-def staples_of(lattice: Lattice, n: int) -> list[Staple]:
-    """Module-level alias of Lattice.staples_of."""
-    return lattice.staples_of(n)
+@lru_cache(maxsize=32)
+def staple_masks(lattice: Lattice, gf: GaugeFixing) -> tuple[tuple[int, ...], ...]:
+    """Per free qubit: the ``gf.bit_mask`` of each staple of its link.
+
+    A staple's product on basis state b is (-1)**popcount(b & mask); a mask
+    of 0 (all three links fixed) gives the constant +1.
+    """
+    return tuple(
+        tuple(gf.bit_mask(staple) for staple in lattice.staple_link_array(link))
+        for link in gf.free
+    )

@@ -7,10 +7,14 @@ one term per free link,
     h_n = 1/2 (I - tanh(beta C_n) Z_n - sech(beta C_n) X_n),
 
 with C_n the staple-sum operator, diagonal in the other qubits.  Because
-tanh^2 + sech^2 = 1 each h_n is a projector, so its time evolution has the
-closed form exp(-i dt h) = I + (e^{-i dt} - 1) h and every Trotter factor is
-applied exactly.  The unique zero mode carries amplitudes e^{-S/2}, which is
-what makes measuring the final state equivalent to Gibbs sampling.
+tanh^2 + sech^2 = 1 each h_n is a rank-1 projector h_n = w w^T, where the
+unit vector w = (w0, w1) on qubit n depends on C_n.  One kernel applies it:
+r = scale (w0 a + w1 b) on every amplitude pair (a, b), then a += w0 r and
+b += w1 r.  With scale = 1 and a separate output that is H psi; in place with
+scale = e^{-i dt} - 1 it is the exact evolution exp(-i dt h) = I +
+(e^{-i dt} - 1) h, so every Trotter factor is applied exactly.  The unique
+zero mode carries amplitudes e^{-S/2}, which is what makes measuring the
+final state equivalent to Gibbs sampling.
 
 States are plain complex128 arrays of length 2**n_free.
 """
@@ -28,7 +32,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from . import limits
 from .classical import Coupling, as_coupling
 from .ensemble import Ensemble, EnsembleMeta, Sampler
-from .lattice import GaugeFixing, Lattice
+from .lattice import GaugeFixing, Lattice, staple_masks
 
 
 class ConvergenceError(RuntimeError):
@@ -42,20 +46,6 @@ class ConvergenceError(RuntimeError):
 # ----- diagonal observables on the computational basis -----
 
 
-def _free_bit_mask(links, gf: GaugeFixing) -> int:
-    """OR of 1 << qubit over the free links among ``links``.
-
-    Fixed links sit at +1 and drop out, so the product of the given links on
-    basis state b is (-1)**popcount(b & mask).
-    """
-    mask = 0
-    for link in links:
-        q = gf.qubit_of.get(int(link))
-        if q is not None:
-            mask |= 1 << q
-    return mask
-
-
 def _parity_signs(indices: np.ndarray, mask: int) -> np.ndarray:
     bits = np.bitwise_count(indices & np.uint64(mask)).astype(np.int8)
     return 1 - 2 * (bits & 1)
@@ -63,7 +53,7 @@ def _parity_signs(indices: np.ndarray, mask: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _plaquette_masks(lattice: Lattice, gf: GaugeFixing) -> tuple[int, ...]:
-    return tuple(_free_bit_mask(quad, gf) for quad in lattice.plaq_links)
+    return tuple(gf.bit_mask(quad) for quad in lattice.plaq_links)
 
 
 def plaquette_sum_diagonal(lattice: Lattice, gf: GaugeFixing) -> np.ndarray:
@@ -74,11 +64,6 @@ def plaquette_sum_diagonal(lattice: Lattice, gf: GaugeFixing) -> np.ndarray:
     for mask in _plaquette_masks(lattice, gf):
         total += _parity_signs(idx, mask)
     return total
-
-
-def encode_action_diagonal(lattice: Lattice, gf: GaugeFixing, beta: float) -> np.ndarray:
-    """The classical action S = -beta * (plaquette sum) on every basis state."""
-    return -beta * plaquette_sum_diagonal(lattice, gf).astype(np.float64)
 
 
 def ground_state_reference(lattice: Lattice, gf: GaugeFixing, beta) -> np.ndarray:
@@ -101,13 +86,18 @@ def ground_state_reference(lattice: Lattice, gf: GaugeFixing, beta) -> np.ndarra
 
 @dataclass(frozen=True)
 class LinkTerm:
-    """One parent-Hamiltonian term, prepared for fast application.
+    """One parent-Hamiltonian term h = w w^T, prepared for fast application.
 
-    ``c_table`` holds the staple sum for every reduced index (basis index with
-    the term's own bit removed), stored as a table offset c + n_staples so it
-    can gather coefficients directly.  A state reshaped to
+    ``c_table`` holds the staple sum c for every reduced index (basis index
+    with the term's own bit removed), stored as a table offset c + n_staples
+    so it can gather the weights (w0, w1) directly.  A state reshaped to
     (2**(n-1-q), 2, 2**q) pairs amplitudes exactly along ``c_table`` reshaped
     to (2**(n-1-q), 2**q).
+
+    With x = beta c and e = e^{-|x|}, the weights are
+    w = (e, -1) / sqrt(1 + e^2) for x >= 0 and (1, -e) / sqrt(1 + e^2) for
+    x < 0.  Then w0^2 = (1 - tanh x)/2 and w0 w1 = -sech(x)/2 without the
+    cancellation of 1 - tanh x at large beta, and without overflow.
     """
 
     qubit: int
@@ -115,46 +105,35 @@ class LinkTerm:
     n_qubits: int
     c_table: np.ndarray  # int8, shape (2**(n_qubits-1),), values in [0, 2*n_staples]
 
-    def staple_values(self) -> np.ndarray:
-        """Distinct staple sums in table order: -n_staples .. +n_staples."""
-        return np.arange(-self.n_staples, self.n_staples + 1)
-
-    def staple_sums_full(self) -> np.ndarray:
-        """Staple sum on every full basis index (duplicated over the own bit)."""
-        hi = 1 << (self.n_qubits - 1 - self.qubit)
-        lo = 1 << self.qubit
-        c = self.c_table.astype(np.int64) - self.n_staples
-        return np.broadcast_to(c.reshape(hi, 1, lo), (hi, 2, lo)).reshape(-1)
-
 
 def build_link_terms(lattice: Lattice, gf: GaugeFixing) -> tuple[LinkTerm, ...]:
     """One LinkTerm per free link, ordered by qubit index."""
     limits.check_free_links(gf.n_free, "Hamiltonian terms")
     n = gf.n_free
+    ys = np.arange(1 << (n - 1), dtype=np.uint64) if n > 1 else np.zeros(1, dtype=np.uint64)
     terms = []
-    for q, link in enumerate(gf.free):
-        staples = lattice.staple_link_array(link)
-        reduced_masks = []
-        for staple in staples:
-            mask = _free_bit_mask(staple, gf)
+    for q, masks in enumerate(staple_masks(lattice, gf)):
+        c = np.zeros(ys.size, dtype=np.int16)
+        for mask in masks:
             low = mask & ((1 << q) - 1)
             high = mask >> (q + 1)
-            reduced_masks.append(low | (high << q))
-        ys = np.arange(1 << (n - 1), dtype=np.uint64) if n > 1 else np.zeros(1, dtype=np.uint64)
-        c = np.zeros(ys.size, dtype=np.int16)
-        for mask in reduced_masks:
-            c += _parity_signs(ys, mask)
-        table = (c + len(staples)).astype(np.int8)
+            c += _parity_signs(ys, low | (high << q))
+        table = (c + len(masks)).astype(np.int8)
         table.setflags(write=False)
-        terms.append(LinkTerm(qubit=q, n_staples=len(staples), n_qubits=n, c_table=table))
+        terms.append(LinkTerm(qubit=q, n_staples=len(masks), n_qubits=n, c_table=table))
     return tuple(terms)
 
 
-def _term_coefficients(term: LinkTerm, coupling: Coupling):
-    """(h00, h01, h11) entries of the 2x2 projector block for each distinct
-    staple sum, in c_table order."""
-    t, s = coupling.tanh_sech(term.staple_values())
-    return 0.5 * (1.0 - t), -0.5 * s, 0.5 * (1.0 + t)
+def _term_weights(term: LinkTerm, coupling: Coupling):
+    """(w0, w1) of h = w w^T for each distinct staple sum, in c_table order."""
+    c = np.arange(-term.n_staples, term.n_staples + 1)
+    if coupling.infinite:
+        e = (c == 0).astype(np.float64)
+    else:
+        e = np.exp(-coupling.beta * np.abs(c))
+    norm = 1.0 / np.sqrt(1.0 + e * e)
+    small = e * norm
+    return np.where(c >= 0, small, norm), -np.where(c >= 0, norm, small)
 
 
 def _paired_view(state: np.ndarray, term: LinkTerm):
@@ -164,46 +143,33 @@ def _paired_view(state: np.ndarray, term: LinkTerm):
     return view[:, 0, :], view[:, 1, :]
 
 
+def _apply_projector(dst: np.ndarray, src: np.ndarray, term: LinkTerm, coupling: Coupling, scale):
+    """dst += scale * h_term @ src; returns ``dst``.
+
+    ``dst`` may be ``src``: r is formed before either half is written.
+    """
+    w0, w1 = _term_weights(term, coupling)
+    a, b = _paired_view(src, term)
+    w0 = w0[term.c_table].reshape(a.shape)
+    w1 = w1[term.c_table].reshape(a.shape)
+    r = w0 * a
+    r += w1 * b
+    r *= scale
+    dst_a, dst_b = _paired_view(dst, term)
+    dst_a += w0 * r
+    dst_b += w1 * r
+    return dst
+
+
 def apply_term_evolution(state: np.ndarray, term: LinkTerm, coupling: Coupling, dt: float):
     """In-place exact evolution exp(-i dt h) for one term; returns the state."""
-    h00, h01, h11 = _term_coefficients(term, coupling)
-    phi = np.exp(-1j * dt) - 1.0
-    u00 = (1.0 + phi * h00)[term.c_table]
-    u01 = (phi * h01)[term.c_table]
-    u11 = (1.0 + phi * h11)[term.c_table]
-    a, b = _paired_view(state, term)
-    shape = a.shape
-    u00 = u00.reshape(shape)
-    u01 = u01.reshape(shape)
-    u11 = u11.reshape(shape)
-    new_a = u00 * a + u01 * b
-    b *= u11
-    b += u01 * a
-    a[:] = new_a
-    return state
-
-
-def apply_term(state: np.ndarray, term: LinkTerm, coupling: Coupling, out: np.ndarray):
-    """Accumulate h_term @ state into ``out`` (both full-length vectors)."""
-    h00, h01, h11 = _term_coefficients(term, coupling)
-    t00 = h00[term.c_table]
-    t01 = h01[term.c_table]
-    t11 = h11[term.c_table]
-    a, b = _paired_view(state, term)
-    oa, ob = _paired_view(out, term)
-    shape = a.shape
-    t00 = t00.reshape(shape)
-    t01 = t01.reshape(shape)
-    t11 = t11.reshape(shape)
-    oa += t00 * a + t01 * b
-    ob += t01 * a + t11 * b
-    return out
+    return _apply_projector(state, state, term, coupling, np.exp(-1j * dt) - 1.0)
 
 
 def apply_hamiltonian(state: np.ndarray, terms, coupling: Coupling) -> np.ndarray:
     out = np.zeros_like(state)
     for term in terms:
-        apply_term(state, term, coupling, out)
+        _apply_projector(out, state, term, coupling, 1.0)
     return out
 
 
@@ -218,11 +184,10 @@ def build_dense_hamiltonian(lattice: Lattice, gf: GaugeFixing, beta) -> np.ndarr
     n = gf.n_free
     dim = 1 << n
     idx = np.arange(dim)
+    configs = gf.decode(idx)
     h = np.zeros((dim, dim))
     for q, link in enumerate(gf.free):
-        c = np.zeros(dim, dtype=np.int64)
-        for staple in lattice.staple_link_array(link):
-            c += _parity_signs(idx.astype(np.uint64), _free_bit_mask(staple, gf))
+        c = configs[:, lattice.staple_link_array(link)].prod(axis=-1).sum(axis=-1)
         t, s = coupling.tanh_sech(c)
         z = 1 - 2 * ((idx >> q) & 1)
         h[idx, idx] += 0.5 * (1.0 - t * z)
@@ -320,6 +285,8 @@ def sample_configs(
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
     probs = np.abs(np.asarray(state, dtype=np.complex128)) ** 2
+    if probs.shape != (1 << gf.n_free,):
+        raise ValueError(f"state has shape {probs.shape}, expected ({1 << gf.n_free},)")
     total = probs.sum()
     if not math.isfinite(total) or total <= 0:
         raise ValueError("state has no norm")

@@ -34,9 +34,9 @@ def naive_expectation(lattice, beta, observable):
         list(itertools.product((1, -1), repeat=lattice.n_links)), dtype=np.int8
     )
     plaq_sum = np.zeros(len(states))
-    for p in lattice.plaquettes:
+    for quad in lattice.plaq_links:
         prod = np.ones(len(states), dtype=np.int64)
-        for l in p.links:
+        for l in quad:
             prod = prod * states[:, l]
         plaq_sum += prod
     weights = np.exp(beta * plaq_sum)
@@ -108,9 +108,9 @@ class TestAction:
         rng = np.random.default_rng(3)
         for config in random_configs(lat, rng):
             expected = 0
-            for p in lat.plaquettes:
+            for quad in lat.plaq_links:
                 prod = 1
-                for l in p.links:
+                for l in quad:
                     prod *= int(config[l])
                 expected += prod
             assert action(config, lat, 1.3) == pytest.approx(-1.3 * expected, rel=1e-14)

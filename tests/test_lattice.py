@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from z2qsim.lattice import Boundary, Lattice, build_lattice, gauge_fix, staples_of
+from z2qsim.lattice import Boundary, build_lattice, gauge_fix, staple_masks
 
 
 def open_link_count(dims):
@@ -137,11 +137,14 @@ class TestPlaquettes:
 
     def test_plaquette_axes(self, hypercube):
         lat, _ = hypercube
-        for p in lat.plaquettes:
-            mu, nu = p.axes
+        planes = set()
+        for quad in lat.plaq_links:
+            dirs = sorted(lat.link_site_dir(int(l))[1] for l in quad)
+            mu, nu = dirs[0], dirs[2]
             assert mu < nu
-            dirs = sorted(lat.link_site_dir(l)[1] for l in p.links)
             assert dirs == [mu, mu, nu, nu]
+            planes.add((mu, nu))
+        assert len(planes) == 6
 
     def test_deterministic_rebuild(self):
         a = build_lattice((2, 3, 2))
@@ -153,35 +156,28 @@ class TestStaples:
     def test_hypercube_three_staples_per_link(self, hypercube):
         lat, _ = hypercube
         for n in range(lat.n_links):
-            assert len(lat.staples_of(n)) == 3
+            assert lat.staple_link_array(n).shape == (3, 3)
 
     def test_staple_completes_plaquette(self, cube2):
         lat, _ = cube2
         for n in range(lat.n_links):
-            plaq_sets = {frozenset(q) for q in lat.plaq_links[lat._link_plaqs[n], :].tolist()}
-            for st in lat.staples_of(n):
-                assert n not in st.links
-                assert st.parent_link == n
-                assert frozenset(st.links) | {n} in plaq_sets
+            plaq_sets = [frozenset(q) for q in lat.plaq_links.tolist() if n in q]
+            staples = lat.staple_link_array(n)
+            assert not staples.flags.writeable
+            assert [frozenset(st) | {n} for st in staples.tolist()] == plaq_sets
 
-    def test_staple_array_matches_objects(self, square3):
+    def test_staples_keep_plaquette_order(self, square3):
         lat, _ = square3
         for n in range(lat.n_links):
-            arr = lat.staple_link_array(n)
-            assert arr.shape == (len(lat.staples_of(n)), 3)
-            assert not arr.flags.writeable
-            assert arr.tolist() == [list(s.links) for s in lat.staples_of(n)]
-
-    def test_module_level_alias(self, square2):
-        lat, _ = square2
-        assert staples_of(lat, 0) == lat.staples_of(0)
+            expected = [[l for l in q if l != n] for q in lat.plaq_links.tolist() if n in q]
+            assert lat.staple_link_array(n).tolist() == expected
 
     def test_out_of_range(self, square2):
         lat, _ = square2
         with pytest.raises(IndexError):
-            lat.staples_of(lat.n_links)
+            lat.staple_link_array(lat.n_links)
         with pytest.raises(IndexError):
-            lat.staples_of(-1)
+            lat.staple_link_array(-1)
 
 
 class TestGaugeFixing:
@@ -224,6 +220,23 @@ class TestGaugeFixing:
         assert sorted(gf.qubit_of.values()) == list(range(gf.n_free))
         # free links ascend with qubit index
         assert [gf.free[q] for q in range(gf.n_free)] == sorted(gf.free)
+
+    def test_bit_mask_gives_link_products(self, cube2):
+        lat, gf = cube2
+        idx = np.arange(1 << gf.n_free, dtype=np.uint64)
+        configs = gf.decode(idx)
+        for links in lat.plaq_links:
+            parity = np.bitwise_count(idx & np.uint64(gf.bit_mask(links))).astype(int) & 1
+            np.testing.assert_array_equal(1 - 2 * parity, configs[:, links].prod(axis=-1))
+        assert gf.bit_mask(gf.fixed) == 0
+
+    def test_staple_masks_table(self, torus3):
+        lat, gf = torus3
+        table = staple_masks(lat, gf)
+        assert staple_masks(lat, gf) is table
+        assert len(table) == gf.n_free
+        for link, masks in zip(gf.free, table):
+            assert masks == tuple(gf.bit_mask(st) for st in lat.staple_link_array(link))
 
 
 class TestEncodeDecode:

@@ -5,7 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from z2qsim import limits
-from z2qsim.classical import Coupling, exact_expectation, plaquette_average, staple_sum
+from z2qsim.classical import (
+    Coupling,
+    action,
+    exact_expectation,
+    flip_probability,
+    plaquette_average,
+    staple_sum,
+)
 from z2qsim.ensemble import Sampler
 from z2qsim.lattice import Boundary, build_lattice, gauge_fix
 from z2qsim.quantum import (
@@ -13,11 +20,9 @@ from z2qsim.quantum import (
     StartKind,
     adiabatic_evolve,
     apply_hamiltonian,
-    apply_term,
     apply_term_evolution,
     build_dense_hamiltonian,
     build_link_terms,
-    encode_action_diagonal,
     expectation_plaquette,
     ground_state_reference,
     initial_state,
@@ -27,13 +32,30 @@ from z2qsim.quantum import (
 )
 
 BETAS = (0.0, 0.7, 1.5)
+# Up to the large couplings a cold ramp passes through, where 1 - tanh(beta c)
+# cancels to nothing in double precision.
+KERNEL_BETAS = (0.0, 0.6, 1.4, 9.0, 12.0)
+
+
+def staple_sums_full(term):
+    """Staple sum of a LinkTerm on every full basis index (duplicated over its
+    own bit)."""
+    hi = 1 << (term.n_qubits - 1 - term.qubit)
+    lo = 1 << term.qubit
+    c = term.c_table.astype(np.int64) - term.n_staples
+    return np.broadcast_to(c.reshape(hi, 1, lo), (hi, 2, lo)).reshape(-1)
+
+
+def action_diagonal(lat, gf, beta):
+    """The classical action S = -beta * (plaquette sum) on every basis state."""
+    return -beta * plaquette_sum_diagonal(lat, gf).astype(np.float64)
 
 
 def dense_term_matrix(term, coupling):
     """Single-term Hamiltonian as an explicit matrix, built the slow way."""
     dim = 1 << term.n_qubits
     idx = np.arange(dim)
-    c = term.staple_sums_full()
+    c = staple_sums_full(term)
     t, s = coupling.tanh_sech(c)
     z = 1 - 2 * ((idx >> term.qubit) & 1)
     h = np.zeros((dim, dim))
@@ -56,17 +78,15 @@ class TestDiagonals:
 
     def test_action_diagonal_examples(self, hypercube):
         lat, gf = hypercube
-        s = encode_action_diagonal(lat, gf, 0.7)
+        s = action_diagonal(lat, gf, 0.7)
         assert s[0] == pytest.approx(-16.8, abs=1e-12)
-        assert (encode_action_diagonal(lat, gf, 0.0) == 0.0).all()
+        assert (action_diagonal(lat, gf, 0.0) == 0.0).all()
 
     def test_matches_classical_action(self, cube2):
         lat, gf = cube2
-        s = encode_action_diagonal(lat, gf, 0.9)
+        s = action_diagonal(lat, gf, 0.9)
         idx = np.arange(1 << gf.n_free, dtype=np.uint64)
         configs = gf.decode(idx)
-        from z2qsim.classical import action
-
         np.testing.assert_allclose(s, action(configs, lat, 0.9), atol=1e-12)
 
     def test_single_plaquette_diagonal(self, square2):
@@ -91,7 +111,7 @@ class TestGroundStateReference:
         lat, gf = square3
         beta = 0.8
         ref = ground_state_reference(lat, gf, beta)
-        s = encode_action_diagonal(lat, gf, beta)
+        s = action_diagonal(lat, gf, beta)
         w = np.exp(-s)
         np.testing.assert_allclose(ref, np.sqrt(w / w.sum()), atol=1e-13)
         assert (ref > 0).all()
@@ -117,7 +137,7 @@ class TestLinkTerms:
         assert term.n_staples == 1
         assert term.c_table.shape == (1,)
         # all three staple links are tree-fixed: c is the constant +1
-        assert term.staple_sums_full().tolist() == [1, 1]
+        assert staple_sums_full(term).tolist() == [1, 1]
 
     def test_hypercube_term_structure(self, hypercube):
         lat, gf = hypercube
@@ -125,7 +145,7 @@ class TestLinkTerms:
         assert len(terms) == 17
         for term in terms:
             assert term.n_staples == 3
-            c = np.unique(term.staple_sums_full())
+            c = np.unique(staple_sums_full(term))
             assert set(c.tolist()) <= {-3, -1, 1, 3}
 
     def test_staple_sums_match_classical(self, cube2):
@@ -135,7 +155,7 @@ class TestLinkTerms:
         for b in rng.integers(0, 1 << gf.n_free, size=20):
             config = gf.decode(np.uint64(b))
             for q, term in enumerate(terms):
-                assert term.staple_sums_full()[int(b)] == staple_sum(
+                assert staple_sums_full(term)[int(b)] == staple_sum(
                     config, gf.free[q], lat
                 )
 
@@ -214,7 +234,7 @@ class TestTermEvolution:
             out = apply_term_evolution(psi.copy(), terms[0], coupling, dt)
             np.testing.assert_allclose(out, psi, atol=1e-12)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.6, 1.4])
+    @pytest.mark.parametrize("beta", KERNEL_BETAS)
     def test_matches_expm_oracle(self, cube2, beta):
         lat, gf = cube2
         terms = build_link_terms(lat, gf)
@@ -265,13 +285,30 @@ class TestTermEvolution:
     def test_term_application_matches_dense(self, square3):
         lat, gf = square3
         terms = build_link_terms(lat, gf)
-        coupling = Coupling(1.1)
         rng = np.random.default_rng(6)
         psi = random_state(1 << gf.n_free, rng)
-        for term in terms:
-            out = np.zeros_like(psi)
-            apply_term(psi, term, coupling, out)
-            np.testing.assert_allclose(out, dense_term_matrix(term, coupling) @ psi, atol=1e-13)
+        for beta in KERNEL_BETAS:
+            coupling = Coupling(beta)
+            for term in terms:
+                out = apply_hamiltonian(psi, (term,), coupling)
+                expected = dense_term_matrix(term, coupling) @ psi
+                np.testing.assert_allclose(out, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.7, 9.0])
+    def test_diagonal_is_glauber_flip_probability(self, cube2, beta):
+        """<b|h_n|b> is the heat-bath probability of flipping link n in b."""
+        lat, gf = cube2
+        terms = build_link_terms(lat, gf)
+        coupling = Coupling(beta)
+        dim = 1 << gf.n_free
+        for b in range(dim):
+            basis = np.zeros(dim)
+            basis[b] = 1.0
+            config = gf.decode(b)
+            for term, link in zip(terms, gf.free):
+                diag = apply_hamiltonian(basis, (term,), coupling)[b]
+                expected = flip_probability(int(config[link]), staple_sum(config, link, lat), beta)
+                assert diag == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestSchedule:
@@ -410,6 +447,8 @@ class TestExpectationAndSampling:
             sample_configs(np.zeros(2, dtype=complex), lat, gf, 5, beta=0.1)
         with pytest.raises(ValueError):
             sample_configs(initial_state(1, StartKind.HOT), lat, gf, 0, beta=0.1)
+        with pytest.raises(ValueError):  # 2 qubits on the 1-qubit lattice
+            sample_configs(initial_state(2, StartKind.HOT), lat, gf, 5, beta=0.1)
 
 
 class TestSpectrum:
