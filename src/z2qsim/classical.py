@@ -131,6 +131,8 @@ def exact_expectation(
 ) -> float:
     """Gibbs average of an observable over all gauge-fixed configurations.
 
+    ``observable(configs)`` must return one value per configuration.
+
     Accumulates with a running max-shift of -S so exp never overflows;
     the result is independent of chunk size to ~1e-15 relative.
     """
@@ -141,6 +143,10 @@ def exact_expectation(
     for _, configs in enumerate_basis(gf, chunk):
         s = action(configs, lattice, beta)
         vals = np.asarray(observable(configs), dtype=np.float64)
+        if vals.shape != (len(configs),):
+            raise ValueError(
+                f"observable returned shape {vals.shape}, expected ({len(configs)},)"
+            )
         m = float((-s).max())
         if m > shift:
             rescale = math.exp(shift - m)

@@ -345,11 +345,11 @@ def run_analyze(args) -> int:
             f"ensemble has {ens.n_links} links but dims imply {lattice.n_links}"
         )
     beta = ens.meta.beta
-    method = args.method
+    plaq = classical.plaquette_products(ens.configs, lattice)
     rows = []
     for name in names:
-        for label, obs in _observable_set(name, lattice, beta):
-            est = ensemble.estimate(ens, obs, method=method)
+        for label, values in _observable_columns(name, plaq, beta):
+            est = ensemble.estimate(ens, lambda _configs, v=values: v, method=args.method)
             rows.append((beta, label, est.mean, est.error, est.n_samples, est.method.value))
     header = _header_lines(
         args,
@@ -366,18 +366,17 @@ def run_analyze(args) -> int:
     return EXIT_OK
 
 
-def _observable_set(name, lattice, beta):
+def _observable_columns(name, plaq, beta):
+    """(label, per-configuration values) pairs of one observable name, read off
+    the plaquette table with the arithmetic of ``classical.plaquette_average``
+    and ``classical.action_density``."""
+    n_plaquettes = plaq.shape[-1]
+    if name == "per-plaquette":
+        return [(f"plaquette[{i}]", plaq[:, i]) for i in range(n_plaquettes)]
+    sums = plaq.sum(axis=-1, dtype="int64")
     if name == "plaquette":
-        return [("plaquette", lambda cfgs: classical.plaquette_average(cfgs, lattice))]
-    if name == "action-density":
-        return [("action-density", lambda cfgs: classical.action_density(cfgs, lattice, beta))]
-    pairs = []
-    for i in range(lattice.n_plaquettes):
-        def obs(cfgs, _i=i):
-            return classical.plaquette_products(cfgs, lattice)[..., _i]
-
-        pairs.append((f"plaquette[{i}]", obs))
-    return pairs
+        return [("plaquette", sums / n_plaquettes)]
+    return [("action-density", -beta * sums / n_plaquettes)]
 
 
 def main(argv=None) -> int:

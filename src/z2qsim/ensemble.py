@@ -15,9 +15,13 @@ File layout (version 1)::
 
     +1 -1 +1 ... (n_links values per line, one line per configuration)
 
-The checksum covers the body bytes only, so editing a header value by hand
-does not invalidate the data, while any corruption of the configurations is
-reported as a :class:`ChecksumError` rather than silently skewing averages.
+The body is canonical: every link takes exactly 3 bytes, its sign (``+`` or
+``-``), the digit ``1``, then a space, or a newline after the last link of a
+line.  It is written and read as one (n_configs, n_links, 3) byte array, and a
+body in any other layout is refused.  The checksum covers the body bytes
+only, so editing a header value by hand does not invalidate the data, while
+any corruption of the configurations is reported as a :class:`ChecksumError`
+rather than silently skewing averages.
 """
 
 from __future__ import annotations
@@ -85,7 +89,9 @@ class Ensemble:
         configs = np.asarray(self.configs)
         if configs.ndim != 2:
             raise ValueError(f"configs must be 2D, got shape {configs.shape}")
-        if not np.isin(configs, (-1, 1)).all():
+        if configs.shape[0] < 1 or configs.shape[1] < 1:
+            raise ValueError(f"configs must be at least 1 x 1, got shape {configs.shape}")
+        if not ((configs == 1) | (configs == -1)).all():
             raise ValueError("configs must contain only +1 and -1")
         self.configs = configs.astype(np.int8)
 
@@ -101,6 +107,10 @@ class Ensemble:
 # ----- file I/O -----
 
 
+# Byte values of the canonical body; a link's sign byte is 44 - value.
+_PLUS, _MINUS, _ONE, _SPACE, _NEWLINE = b"+-1 \n"
+
+
 def _format_beta(beta: float) -> str:
     return "inf" if math.isinf(beta) else repr(float(beta))
 
@@ -111,11 +121,14 @@ def save(ensemble: Ensemble, path) -> None:
     for key, value in meta.extra.items():
         if key in _RESERVED_KEYS:
             raise ValueError(f"extra key {key!r} collides with a reserved header key")
-        if "\n" in key or "\n" in str(value) or "=" in key:
+        line = f"{key}={value}"
+        if "=" in key or line.splitlines() != [line]:
             raise ValueError(f"extra entry {key!r} is not representable in the header")
-    tokens = np.where(ensemble.configs > 0, "+1", "-1")
-    body = "\n".join(" ".join(row) for row in tokens) + "\n"
-    body_bytes = body.encode("ascii")
+    body = np.empty((ensemble.n_configs, ensemble.n_links, 3), dtype=np.uint8)
+    body[..., 0] = 44 - ensemble.configs
+    body[..., 1] = _ONE
+    body[..., 2] = _SPACE
+    body[:, -1, 2] = _NEWLINE
     header = [
         FORMAT_MAGIC,
         f"dims={','.join(str(d) for d in meta.dims)}",
@@ -127,14 +140,15 @@ def save(ensemble: Ensemble, path) -> None:
         f"n_links={ensemble.n_links}",
     ]
     header.extend(f"{k}={v}" for k, v in sorted(meta.extra.items()))
-    header.append(f"crc32={zlib.crc32(body_bytes) & 0xFFFFFFFF:08x}")
-    blob = ("\n".join(header) + "\n\n").encode("ascii") + body_bytes
+    header.append(f"crc32={zlib.crc32(body) & 0xFFFFFFFF:08x}")
+    head = ("\n".join(header) + "\n\n").encode("ascii")
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".z2q-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(head)
+            fh.write(body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -171,7 +185,6 @@ def load(path) -> Ensemble:
     except UnicodeDecodeError as exc:
         raise HeaderError(f"header is not ASCII: {exc}") from None
     entries = _parse_header(head_text)
-    body_bytes = blob[sep + 2 :]
     try:
         dims = tuple(int(d) for d in entries["dims"].split(","))
         boundary = Boundary(entries["boundary"])
@@ -183,27 +196,32 @@ def load(path) -> Ensemble:
         crc_expected = int(entries["crc32"], 16)
     except (ValueError, KeyError) as exc:
         raise HeaderError(f"invalid header value: {exc}") from None
-    body = body_bytes.decode("ascii")
-    lines = body.splitlines()
-    if len(lines) != n_configs:
-        raise LengthMismatchError(f"header says {n_configs} configurations, body has {len(lines)}")
-    try:
-        flat = np.array(body.split(), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise EnsembleFormatError(f"non-integer link value: {exc}") from None
-    if flat.size != n_configs * n_links:
+    if n_configs < 1 or n_links < 1:
+        raise HeaderError(f"n_configs={n_configs} and n_links={n_links} must both be positive")
+    body = np.frombuffer(blob, dtype=np.uint8, offset=sep + 2)
+    if body.size != n_configs * n_links * 3:
         raise LengthMismatchError(
-            f"expected {n_configs} x {n_links} link values, body has {flat.size}"
+            f"header says {n_configs} x {n_links} links (3 bytes each), body has {body.size} bytes"
         )
-    if not np.isin(flat, (-1, 1)).all():
-        raise EnsembleFormatError("link values must be +1 or -1")
-    if (zlib.crc32(body_bytes) & 0xFFFFFFFF) != crc_expected:
+    body = body.reshape(n_configs, n_links, 3)
+    signs = body[..., 0]
+    if not (
+        ((signs == _PLUS) | (signs == _MINUS)).all()
+        and (body[..., 1] == _ONE).all()
+        and (body[:, :-1, 2] == _SPACE).all()
+        and (body[:, -1, 2] == _NEWLINE).all()
+    ):
+        raise EnsembleFormatError(
+            "body is not canonical: each link must be '+1' or '-1' followed by one space,"
+            " or by a newline after the last link of a line"
+        )
+    if (zlib.crc32(body) & 0xFFFFFFFF) != crc_expected:
         raise ChecksumError("body checksum mismatch; the file is corrupted")
     extra = {k: v for k, v in entries.items() if k not in _RESERVED_KEYS}
     meta = EnsembleMeta(
         dims=dims, boundary=boundary, beta=beta, sampler=sampler, seed=seed, extra=extra
     )
-    return Ensemble(meta=meta, configs=flat.astype(np.int8).reshape(n_configs, n_links))
+    return Ensemble(meta=meta, configs=44 - signs.astype(np.int8))
 
 
 # ----- estimators -----

@@ -284,6 +284,8 @@ def sample_configs(
     gauge configurations as a quantum-sampler ensemble."""
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
+    if math.isnan(beta) or beta < 0:
+        raise ValueError(f"beta must be >= 0 (inf allowed), got {beta}")
     probs = np.abs(np.asarray(state, dtype=np.complex128)) ** 2
     if probs.shape != (1 << gf.n_free,):
         raise ValueError(f"state has shape {probs.shape}, expected ({1 << gf.n_free},)")

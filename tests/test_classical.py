@@ -198,6 +198,13 @@ class TestExactExpectation:
             p = exact_expectation(lat, gf, 600.0, lambda c: plaquette_average(c, lat))
         assert p == pytest.approx(1.0, abs=1e-12)
 
+    def test_observable_shape_checked(self, square3):
+        lat, gf = square3
+        with pytest.raises(ValueError):  # a scalar would broadcast over the chunk
+            exact_expectation(lat, gf, 0.5, lambda c: 1.0)
+        with pytest.raises(ValueError):  # one value per plaquette, not per config
+            exact_expectation(lat, gf, 0.5, lambda c: plaquette_products(c, lat))
+
     def test_cap_enforced(self, hypercube, monkeypatch):
         lat, gf = hypercube
         monkeypatch.setenv(limits.ENV_VAR, "10")

@@ -1,11 +1,12 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from z2qsim import classical, ensemble
 from z2qsim.cli import EXIT_CAP, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from z2qsim.lattice import build_lattice, gauge_fix
+from z2qsim.lattice import Boundary, build_lattice, gauge_fix
 from z2qsim.limits import ENV_VAR
 
 
@@ -229,6 +230,41 @@ class TestSampleAndAnalyze:
         assert labels == ["plaquette", "action-density", "plaquette[0]"]
         assert all(r["method"] == "jackknife" for r in rows)
         assert all(float(r["beta"]) == 0.4 for r in rows)
+
+    def test_analyze_columns_match_classical_observables(self, tmp_path):
+        # analyze reads every estimate off one plaquette table; each must equal the
+        # estimate of the classical observable it names, to the last bit
+        sfile = tmp_path / "s.dat"
+        assert main(["mcmc", "--dims", "3,3", "--boundary", "periodic", "--beta", "0.6",
+                     "--n-configs", "40", "--seed", "4", "--out", str(sfile)]) == EXIT_OK
+        csv = tmp_path / "a.csv"
+        assert main(["analyze", "--ensemble", str(sfile),
+                     "--observables", "per-plaquette,action-density,plaquette",
+                     "--method", "jackknife", "--out", str(csv)]) == EXIT_OK
+        _, _, rows = read_csv(csv)
+        lat = build_lattice((3, 3), Boundary.PERIODIC)
+        ens = ensemble.load(sfile)
+        observables = [
+            (f"plaquette[{i}]", lambda c, i=i: classical.plaquette_products(c, lat)[..., i])
+            for i in range(lat.n_plaquettes)
+        ]
+        observables.append(("action-density", lambda c: classical.action_density(c, lat, 0.6)))
+        observables.append(("plaquette", lambda c: classical.plaquette_average(c, lat)))
+        assert [r["observable"] for r in rows] == [label for label, _ in observables]
+        for row, (_, obs) in zip(rows, observables):
+            est = ensemble.estimate(ens, obs, method="jackknife")
+            assert (float(row["mean"]), float(row["error"])) == (est.mean, est.error)
+
+    def test_analyze_non_canonical_body(self, tmp_path):
+        sfile = tmp_path / "s.dat"
+        assert main(["mcmc", "--dims", "2,2", "--beta", "0.4", "--n-configs", "5",
+                     "--out", str(sfile)]) == EXIT_OK
+        head, body = sfile.read_bytes().split(b"\n\n", 1)
+        crlf = body.replace(b"\n", b"\r\n")
+        crc = f"crc32={zlib.crc32(crlf) & 0xFFFFFFFF:08x}".encode()
+        head = b"\n".join(crc if ln.startswith(b"crc32=") else ln for ln in head.split(b"\n"))
+        sfile.write_bytes(head + b"\n\n" + crlf)
+        assert main(["analyze", "--ensemble", str(sfile)]) == EXIT_IO
 
     def test_analyze_unknown_observable(self, tmp_path):
         sfile = tmp_path / "s.dat"

@@ -1,10 +1,15 @@
 import math
 import os
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from z2qsim.ensemble import (
+    FORMAT_MAGIC,
     ChecksumError,
     Ensemble,
     EnsembleFormatError,
@@ -19,6 +24,8 @@ from z2qsim.ensemble import (
     save,
 )
 from z2qsim.lattice import Boundary
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def make_ensemble(n=20, n_links=7, seed=0, sampler=Sampler.MCMC, beta=0.7, extra=None):
@@ -53,6 +60,12 @@ class TestContainer:
             Ensemble(meta=meta, configs=np.zeros((3, 7), dtype=np.int8))
         with pytest.raises(ValueError):
             Ensemble(meta=meta, configs=np.ones(7, dtype=np.int8))
+
+    @pytest.mark.parametrize("shape", [(0, 7), (3, 0), (0, 0)])
+    def test_rejects_empty(self, shape):
+        # an empty ensemble has no canonical body, so it could be saved but never loaded
+        with pytest.raises(ValueError):
+            Ensemble(meta=make_ensemble().meta, configs=np.ones(shape, dtype=np.int8))
 
 
 class TestRoundTrip:
@@ -96,6 +109,8 @@ class TestRoundTrip:
     def test_unrepresentable_extra_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save(make_ensemble(extra={"note": "two\nlines"}), tmp_path / "x.dat")
+        with pytest.raises(ValueError):  # the header reader splits lines on \r too
+            save(make_ensemble(extra={"note": "two\rlines"}), tmp_path / "x.dat")
         with pytest.raises(ValueError):
             save(make_ensemble(extra={"a=b": "1"}), tmp_path / "x.dat")
 
@@ -170,6 +185,40 @@ class TestLoadErrors:
         with pytest.raises(EnsembleFormatError):
             load(saved)
 
+    @pytest.mark.parametrize("n_configs", ["0", "-1"])
+    def test_non_positive_count(self, saved, n_configs):
+        saved.write_text(saved.read_text().replace("n_configs=20", f"n_configs={n_configs}", 1))
+        with pytest.raises(HeaderError):
+            load(saved)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda body: body.replace(b"\n", b"\r\n"), LengthMismatchError),
+            (lambda body: body[:-1], LengthMismatchError),  # no final newline
+            (lambda body: body.replace(b" ", b"  ", 1), LengthMismatchError),
+            (lambda body: body.replace(b"+1", b"1", 1), LengthMismatchError),
+            (lambda body: body.replace(b"+1", b" 1", 1), EnsembleFormatError),
+            (lambda body: body.replace(b"+1", b"+0", 1), EnsembleFormatError),
+            (lambda body: body.replace(b" ", b"\t", 1), EnsembleFormatError),
+            (lambda body: body.replace(b"\n", b" ", 1), EnsembleFormatError),
+        ],
+        ids=[
+            "crlf", "no-final-newline", "double-space", "unsigned", "space-sign", "digit", "tab",
+            "joined",
+        ],
+    )
+    def test_non_canonical_body_refused(self, saved, edit, error):
+        # the edited body carries a matching checksum, so only its layout is at fault
+        head, body = saved.read_bytes().split(b"\n\n", 1)
+        edited = edit(body)
+        assert edited != body
+        crc = f"crc32={zlib.crc32(edited) & 0xFFFFFFFF:08x}".encode()
+        head = b"\n".join(crc if ln.startswith(b"crc32=") else ln for ln in head.split(b"\n"))
+        saved.write_bytes(head + b"\n\n" + edited)
+        with pytest.raises(error):
+            load(saved)
+
     def test_header_edits_keep_body_valid(self, saved):
         # checksum covers the body only: retagging beta by hand is allowed
         saved.write_text(saved.read_text().replace("beta=0.7", "beta=0.9", 1))
@@ -179,6 +228,96 @@ class TestLoadErrors:
         for cls in (HeaderError, LengthMismatchError, ChecksumError):
             assert issubclass(cls, EnsembleFormatError)
         assert issubclass(EnsembleFormatError, ValueError)
+
+
+def reference_blob(ens: Ensemble) -> bytes:
+    """The file as the original line-by-line text writer produced it."""
+    meta = ens.meta
+    tokens = np.where(ens.configs > 0, "+1", "-1")
+    body = ("\n".join(" ".join(row) for row in tokens) + "\n").encode("ascii")
+    beta = "inf" if math.isinf(meta.beta) else repr(float(meta.beta))
+    header = [
+        FORMAT_MAGIC,
+        f"dims={','.join(str(d) for d in meta.dims)}",
+        f"boundary={meta.boundary.value}",
+        f"beta={beta}",
+        f"sampler={meta.sampler.value}",
+        f"seed={meta.seed}",
+        f"n_configs={ens.n_configs}",
+        f"n_links={ens.n_links}",
+    ]
+    header.extend(f"{k}={v}" for k, v in sorted(meta.extra.items()))
+    header.append(f"crc32={zlib.crc32(body) & 0xFFFFFFFF:08x}")
+    return ("\n".join(header) + "\n\n").encode("ascii") + body
+
+
+def reference_parse(blob: bytes, n_configs: int, n_links: int) -> np.ndarray:
+    """The original whitespace-splitting body parser."""
+    body = blob[blob.find(b"\n\n") + 2 :].decode("ascii")
+    return np.array(body.split(), dtype=np.int64).reshape(n_configs, n_links)
+
+
+_RESERVED = ("dims", "boundary", "beta", "sampler", "seed", "n_configs", "n_links", "crc32")
+_HEADER_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+@st.composite
+def ensembles(draw):
+    n_configs = draw(st.integers(1, 30))
+    n_links = draw(st.integers(1, 30))
+    configs = draw(arrays(np.int8, (n_configs, n_links), elements=st.sampled_from([-1, 1])))
+    keys = _HEADER_TEXT.filter(lambda k: "=" not in k and k not in _RESERVED)
+    meta = EnsembleMeta(
+        dims=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))),
+        boundary=draw(st.sampled_from(Boundary)),
+        beta=draw(st.one_of(st.floats(0.0, 1e6), st.just(math.inf))),
+        sampler=draw(st.sampled_from(Sampler)),
+        seed=draw(st.integers(0, 2**63)),
+        extra=draw(st.dictionaries(keys, _HEADER_TEXT, max_size=3)),
+    )
+    return Ensemble(meta=meta, configs=configs)
+
+
+class TestCanonicalBodyProperties:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("properties") / "ens.dat"
+
+    @PROPERTY_SETTINGS
+    @given(ens=ensembles())
+    def test_round_trip(self, path, ens):
+        save(ens, path)
+        back = load(path)
+        assert back.meta == ens.meta
+        np.testing.assert_array_equal(back.configs, ens.configs)
+
+    @PROPERTY_SETTINGS
+    @given(ens=ensembles())
+    def test_save_matches_reference_writer(self, path, ens):
+        save(ens, path)
+        assert path.read_bytes() == reference_blob(ens)
+
+    @PROPERTY_SETTINGS
+    @given(ens=ensembles())
+    def test_load_matches_reference_parser(self, path, ens):
+        blob = reference_blob(ens)
+        path.write_bytes(blob)
+        np.testing.assert_array_equal(
+            load(path).configs, reference_parse(blob, ens.n_configs, ens.n_links)
+        )
+
+    @PROPERTY_SETTINGS
+    @given(ens=ensembles(), data=st.data())
+    def test_any_single_body_byte_change_refused(self, path, ens, data):
+        save(ens, path)
+        blob = bytearray(path.read_bytes())
+        start = blob.find(b"\n\n") + 2
+        pos = data.draw(st.integers(start, len(blob) - 1), label="pos")
+        new = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+        blob[pos] = new
+        path.write_bytes(bytes(blob))
+        with pytest.raises(EnsembleFormatError):
+            load(path)
 
 
 class TestEstimate:

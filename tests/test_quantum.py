@@ -449,6 +449,11 @@ class TestExpectationAndSampling:
             sample_configs(initial_state(1, StartKind.HOT), lat, gf, 0, beta=0.1)
         with pytest.raises(ValueError):  # 2 qubits on the 1-qubit lattice
             sample_configs(initial_state(2, StartKind.HOT), lat, gf, 5, beta=0.1)
+        hot = initial_state(1, StartKind.HOT)
+        for beta in (math.nan, -0.1):
+            with pytest.raises(ValueError):
+                sample_configs(hot, lat, gf, 5, beta=beta)
+        assert sample_configs(hot, lat, gf, 5, beta=math.inf).meta.beta == math.inf
 
 
 class TestSpectrum:
