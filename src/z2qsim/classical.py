@@ -62,13 +62,13 @@ def as_coupling(beta) -> Coupling:
 
 
 def plaquette_products(config, lattice: Lattice) -> np.ndarray:
-    """Products of the four links of every plaquette, shape (..., n_plaquettes)."""
+    """Products of the four links of every plaquette, int8 of shape (..., n_plaquettes)."""
     config = np.asarray(config)
     if config.shape[-1] != lattice.n_links:
         raise ValueError(
             f"config has {config.shape[-1]} entries, lattice has {lattice.n_links} links"
         )
-    return config[..., lattice.plaq_links].prod(axis=-1)
+    return config[..., lattice.plaq_links].prod(axis=-1, dtype=np.int8)
 
 
 def action(config, lattice: Lattice, beta: float):

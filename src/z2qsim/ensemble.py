@@ -198,6 +198,8 @@ def load(path) -> Ensemble:
         raise HeaderError(f"invalid header value: {exc}") from None
     if n_configs < 1 or n_links < 1:
         raise HeaderError(f"n_configs={n_configs} and n_links={n_links} must both be positive")
+    if math.isnan(beta) or beta < 0:
+        raise HeaderError(f"header beta must be >= 0 (inf allowed), got {beta}")
     body = np.frombuffer(blob, dtype=np.uint8, offset=sep + 2)
     if body.size != n_configs * n_links * 3:
         raise LengthMismatchError(

@@ -27,7 +27,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import limits
 from .classical import Coupling, as_coupling
@@ -311,6 +310,19 @@ def sample_configs(
 # ----- spectrum diagnostics -----
 
 
+def eigsh(*args, **kwargs):
+    """``scipy.sparse.linalg.eigsh``, imported on the first call.
+
+    Importing ``scipy.sparse.linalg`` costs about 0.4 s, which every ``z2q``
+    process would pay although only ``lowest_eigenvalues`` needs it.  That
+    function looks ``quantum.eigsh`` up when it runs, so a caller may rebind
+    this name, e.g. to an ``eigsh`` with a fixed start-vector generator.
+    """
+    from scipy.sparse.linalg import eigsh as scipy_eigsh
+
+    return scipy_eigsh(*args, **kwargs)
+
+
 def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> np.ndarray:
     """The k smallest Hamiltonian eigenvalues, ascending.
 
@@ -325,6 +337,8 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> n
         h = build_dense_hamiltonian(lattice, gf, coupling)
         return np.linalg.eigvalsh(h)[:k]
     limits.check_free_links(n, "iterative eigensolver", cap=limits.EIGENSOLVER_CAP)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+
     terms = build_link_terms(lattice, gf)
 
     def matvec(x):

@@ -98,7 +98,9 @@ class TestAction:
         lat, _ = square3
         rng = np.random.default_rng(0)
         batch = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3, 5, lat.n_links))
-        assert plaquette_products(batch, lat).shape == (3, 5, lat.n_plaquettes)
+        prods = plaquette_products(batch, lat)
+        assert prods.shape == (3, 5, lat.n_plaquettes)
+        assert prods.dtype == np.int8
         assert action(batch, lat, 0.3).shape == (3, 5)
         single = action(batch[0, 0], lat, 0.3)
         assert np.ndim(single) == 0

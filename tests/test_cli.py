@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,27 @@ def read_csv(path):
         else:
             rows.append(dict(zip(columns, line.split(","))))
     return header, columns, rows
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse.linalg costs about 0.4 s to import; only the iterative
+    # eigensolver needs it, so no z2q process should pay for it at start-up
+    code = (
+        "import sys, z2qsim.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestExact:
@@ -264,6 +289,14 @@ class TestSampleAndAnalyze:
         crc = f"crc32={zlib.crc32(crlf) & 0xFFFFFFFF:08x}".encode()
         head = b"\n".join(crc if ln.startswith(b"crc32=") else ln for ln in head.split(b"\n"))
         sfile.write_bytes(head + b"\n\n" + crlf)
+        assert main(["analyze", "--ensemble", str(sfile)]) == EXIT_IO
+
+    @pytest.mark.parametrize("beta", ["nan", "-2.0"])
+    def test_analyze_invalid_beta_header(self, tmp_path, beta):
+        sfile = tmp_path / "s.dat"
+        assert main(["mcmc", "--dims", "2,2", "--beta", "0.4", "--n-configs", "5",
+                     "--out", str(sfile)]) == EXIT_OK
+        sfile.write_text(sfile.read_text().replace("beta=0.4\n", f"beta={beta}\n", 1))
         assert main(["analyze", "--ensemble", str(sfile)]) == EXIT_IO
 
     def test_analyze_unknown_observable(self, tmp_path):

@@ -191,6 +191,13 @@ class TestLoadErrors:
         with pytest.raises(HeaderError):
             load(saved)
 
+    @pytest.mark.parametrize("beta", ["nan", "-2.0"])
+    def test_invalid_beta(self, saved, beta):
+        # the checksum covers the body only, so the edited header keeps a valid one
+        saved.write_text(saved.read_text().replace("beta=0.7", f"beta={beta}", 1))
+        with pytest.raises(HeaderError, match="beta"):
+            load(saved)
+
     @pytest.mark.parametrize(
         "edit, error",
         [

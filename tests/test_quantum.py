@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from z2qsim import limits
+from z2qsim import limits, quantum
 from z2qsim.classical import (
     Coupling,
     action,
@@ -482,6 +483,36 @@ class TestSpectrum:
         vals = lowest_eigenvalues(lat, gf, 0.7, k=2)
         assert abs(vals[0]) < 1e-7
         assert vals[1] > 0.01
+
+    def test_eigsh_seam_is_the_solver_that_runs(self, hypercube, monkeypatch):
+        lat, gf = hypercube
+        dim = 1 << gf.n_free
+        x = np.random.default_rng(5).standard_normal(dim)
+        expected = apply_hamiltonian(x, build_link_terms(lat, gf), Coupling(0.7))
+        calls = []
+
+        def counting(op, **kwargs):
+            calls.append(kwargs)
+            assert op.shape == (dim, dim)
+            np.testing.assert_allclose(op.matvec(x), expected, rtol=0, atol=1e-14)
+            return np.array([0.25, 0.0])
+
+        monkeypatch.setattr(quantum, "eigsh", counting)
+        np.testing.assert_array_equal(lowest_eigenvalues(lat, gf, 0.7, k=2), [0.0, 0.25])
+        assert calls == [{"k": 2, "which": "SA", "return_eigenvectors": False}]
+
+    def test_no_convergence_carries_sorted_partial_values(self, hypercube, monkeypatch):
+        lat, gf = hypercube
+
+        def stalled(op, **kwargs):
+            raise ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.array([0.5, 0.0]), np.zeros((op.shape[0], 2))
+            )
+
+        monkeypatch.setattr(quantum, "eigsh", stalled)
+        with pytest.raises(quantum.ConvergenceError, match="2 of 3") as info:
+            lowest_eigenvalues(lat, gf, 0.7, k=3)
+        np.testing.assert_array_equal(info.value.eigenvalues, [0.0, 0.5])
 
     def test_eigensolver_cap(self):
         lat = build_lattice((5, 4), Boundary.PERIODIC)
