@@ -6,106 +6,42 @@ prepare that state by Trotterized adiabatic evolution of a simulated
 statevector, and measure it repeatedly to draw gauge configurations.  Exact
 enumeration and a classical Glauber Markov chain serve as cross-checks at
 every stage.
+
+The package namespace holds those pipeline calls only; every other public
+name is imported from its submodule (``z2qsim.lattice``, ``.quantum``,
+``.classical``, ``.ensemble``, ``.limits``).
 """
 
 __version__ = "0.1.0"
 
-from .classical import (
-    Coupling,
-    action,
-    action_density,
-    apply_gauge_flip,
-    delta_action,
-    exact_expectation,
-    flip_probability,
-    glauber_step,
-    mcmc_run,
-    plaquette_average,
-    plaquette_products,
-    staple_sum,
-)
-from .ensemble import (
-    ChecksumError,
-    Ensemble,
-    EnsembleFormatError,
-    EnsembleMeta,
-    Estimate,
-    EstimateMethod,
-    HeaderError,
-    LengthMismatchError,
-    Sampler,
-    estimate,
-    load,
-    save,
-)
-from .lattice import (
-    Boundary,
-    GaugeFixing,
-    Lattice,
-    build_lattice,
-    gauge_fix,
-)
-from .limits import EnumerationCapError, max_free_links
+from .classical import exact_expectation, mcmc_run, plaquette_average
+from .ensemble import estimate, load, save
+from .lattice import Boundary, build_lattice, gauge_fix
+from .limits import EnumerationCapError
 from .quantum import (
-    ConvergenceError,
-    LinkTerm,
     Schedule,
     StartKind,
     adiabatic_evolve,
-    build_dense_hamiltonian,
-    build_link_terms,
     expectation_plaquette,
-    ground_state_reference,
-    initial_state,
     lowest_eigenvalues,
-    plaquette_sum_diagonal,
     sample_configs,
 )
 
 __all__ = [
-    "__version__",
     "Boundary",
-    "ChecksumError",
-    "ConvergenceError",
-    "Coupling",
-    "Ensemble",
-    "EnsembleFormatError",
-    "EnsembleMeta",
-    "EnumerationCapError",
-    "Estimate",
-    "EstimateMethod",
-    "GaugeFixing",
-    "HeaderError",
-    "Lattice",
-    "LengthMismatchError",
-    "LinkTerm",
-    "Sampler",
+    "build_lattice",
+    "gauge_fix",
     "Schedule",
     "StartKind",
-    "action",
-    "action_density",
     "adiabatic_evolve",
-    "apply_gauge_flip",
-    "build_dense_hamiltonian",
-    "build_lattice",
-    "build_link_terms",
-    "delta_action",
-    "estimate",
-    "exact_expectation",
+    "sample_configs",
     "expectation_plaquette",
-    "flip_probability",
-    "gauge_fix",
-    "glauber_step",
-    "ground_state_reference",
-    "initial_state",
-    "load",
     "lowest_eigenvalues",
-    "max_free_links",
+    "exact_expectation",
     "mcmc_run",
     "plaquette_average",
-    "plaquette_products",
-    "plaquette_sum_diagonal",
-    "sample_configs",
+    "estimate",
     "save",
-    "staple_sum",
+    "load",
+    "EnumerationCapError",
 ]

@@ -51,9 +51,6 @@ class Coupling:
         return np.tanh(x), sech
 
 
-INFINITE_COUPLING = Coupling(infinite=True)
-
-
 def as_coupling(beta) -> Coupling:
     return beta if isinstance(beta, Coupling) else Coupling(float(beta))
 
@@ -95,20 +92,6 @@ def staple_sum(config, n: int, lattice: Lattice) -> int:
     if staples.shape[0] == 0:
         return 0
     return int(config[staples].prod(axis=1).sum())
-
-
-def delta_action(config, n: int, lattice: Lattice, beta: float) -> float:
-    """Action change from flipping link n: 2 beta U_n C_n (local, via staples)."""
-    config = np.asarray(config)
-    return 2.0 * beta * float(config[n]) * staple_sum(config, n, lattice)
-
-
-def apply_gauge_flip(config, lattice: Lattice, site: int) -> np.ndarray:
-    """Gauge transformation with Lambda = -1 at one site: flip incident links."""
-    out = np.array(config, copy=True)
-    for link, _ in lattice.incident_links(site):
-        out[link] = -out[link]
-    return out
 
 
 # ----- brute-force expectation -----
@@ -180,21 +163,6 @@ def _staple_sum_bits(state: int, masks: tuple[int, ...]) -> int:
     for m in masks:
         c += 1 - 2 * ((state & m).bit_count() & 1)
     return c
-
-
-def glauber_step(
-    config, lattice: Lattice, gf: GaugeFixing, beta: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One Glauber update: pick a free link uniformly, flip with the heat-bath
-    probability.  Fixed links are never touched.  Returns a new config."""
-    masks = staple_masks(lattice, gf)
-    state = gf.encode(config)
-    q = int(rng.integers(gf.n_free))
-    c = _staple_sum_bits(state, masks[q])
-    u = 1 - 2 * ((state >> q) & 1)
-    if rng.random() < flip_probability(u, c, beta):
-        state ^= 1 << q
-    return gf.decode(state)
 
 
 def _run_sweeps(

@@ -158,15 +158,13 @@ def _resolve_lattice(args):
     return lattice, gauge_fix(lattice)
 
 
-def _resolve_betas(args, required=True) -> tuple[float, ...]:
+def _resolve_betas(args) -> tuple[float, ...]:
     if args.beta_grid is not None:
         betas = _parse_grid(args.beta_grid, "--beta-grid")
     elif args.beta is not None:
         betas = (args.beta,)
-    elif required:
-        raise ValueError("a coupling is required: pass --beta or --beta-grid")
     else:
-        return ()
+        raise ValueError("a coupling is required: pass --beta or --beta-grid")
     for b in betas:
         classical.Coupling(b)  # validates finite, >= 0
     return betas
@@ -189,8 +187,8 @@ def _header_lines(args, lattice, **extras) -> list[str]:
     pairs = {
         "version": __version__,
         "subcommand": args.subcommand,
-        "dims": ",".join(str(d) for d in lattice.dims) if lattice else "",
-        "boundary": lattice.boundary.value if lattice else "",
+        "dims": ",".join(str(d) for d in lattice.dims),
+        "boundary": lattice.boundary.value,
     }
     pairs.update(extras)
     return [f"# {k}={v}" for k, v in pairs.items() if v != "" and v is not None]

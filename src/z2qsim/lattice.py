@@ -93,21 +93,9 @@ class Lattice:
         self._link_site_dir = np.asarray(site_dir, dtype=np.int32)
         self.n_links = len(site_dir)
 
-    def link_index(self, site: int, mu: int) -> int:
-        idx = int(self._link_of[site, mu])
-        if idx < 0:
-            raise KeyError(f"no link at site {site} in direction {mu}")
-        return idx
-
     def link_site_dir(self, n: int) -> tuple[int, int]:
         site, mu = self._link_site_dir[n]
         return int(site), int(mu)
-
-    def link_endpoints(self, n: int) -> tuple[int, int]:
-        site, mu = self.link_site_dir(n)
-        other = self.shift_site(site, mu)
-        assert other is not None
-        return site, other
 
     def incident_links(self, site: int) -> list[tuple[int, int]]:
         """(link index, site at the other end) pairs, ascending by link index."""
@@ -229,19 +217,6 @@ class GaugeFixing:
                 np.int8
             )
         return configs
-
-    def encode(self, config) -> int:
-        """Spin configuration -> basis index over free links."""
-        config = np.asarray(config)
-        b = 0
-        for q, link in enumerate(self.free):
-            if config[link] < 0:
-                b |= 1 << q
-        return b
-
-    def is_gauge_fixed(self, config) -> bool:
-        config = np.asarray(config)
-        return bool(np.all(config[list(self.fixed)] == 1))
 
 
 def gauge_fix(lattice: Lattice) -> GaugeFixing:

@@ -21,10 +21,10 @@ class EnumerationCapError(RuntimeError):
     """Raised when a computation would enumerate more free links than allowed."""
 
 
-def max_free_links(default: int = DEFAULT_MAX_FREE_LINKS) -> int:
+def max_free_links() -> int:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return default
+        return DEFAULT_MAX_FREE_LINKS
     try:
         cap = int(raw)
     except ValueError as exc:

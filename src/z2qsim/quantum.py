@@ -220,8 +220,10 @@ class Schedule:
     def __post_init__(self):
         if not math.isfinite(self.beta_target) or self.beta_target < 0:
             raise ValueError(f"beta_target must be finite and >= 0, got {self.beta_target}")
-        if self.total_time <= 0 or self.dt <= 0:
-            raise ValueError("total_time and dt must be positive")
+        for name in ("total_time", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def n_steps(self) -> int:

@@ -1,7 +1,6 @@
 import pytest
 
-from z2qsim import build_lattice, gauge_fix
-from z2qsim.lattice import Boundary
+from z2qsim.lattice import Boundary, build_lattice, gauge_fix
 
 
 @pytest.fixture(scope="session")

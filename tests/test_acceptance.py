@@ -18,12 +18,10 @@ import numpy as np
 import pytest
 
 from z2qsim import (
-    build_dense_hamiltonian,
     build_lattice,
     estimate,
     exact_expectation,
     gauge_fix,
-    ground_state_reference,
     mcmc_run,
     plaquette_average,
     sample_configs,
@@ -32,7 +30,14 @@ from z2qsim import ensemble as ens_io
 from z2qsim.classical import action, flip_probability, staple_sum
 from z2qsim.ensemble import Ensemble, EstimateMethod
 from z2qsim.lattice import Boundary
-from z2qsim.quantum import Schedule, StartKind, adiabatic_evolve, expectation_plaquette
+from z2qsim.quantum import (
+    Schedule,
+    StartKind,
+    adiabatic_evolve,
+    build_dense_hamiltonian,
+    expectation_plaquette,
+    ground_state_reference,
+)
 
 BETA = 0.7
 DT = 0.2

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import z2qsim
 from z2qsim import classical, ensemble
 from z2qsim.cli import EXIT_CAP, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from z2qsim.lattice import Boundary, build_lattice, gauge_fix
@@ -29,7 +31,8 @@ def read_csv(path):
     return header, columns, rows
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_loads_no_scipy():
@@ -48,6 +51,21 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_readme_quick_start_uses_package_namespace():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    used = {
+        node.attr
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "z"
+    }
+    assert used
+    assert used <= set(z2qsim.__all__)
 
 
 class TestExact:
@@ -203,6 +221,16 @@ class TestAdiabatic:
 
     def test_requires_time(self):
         assert main(["adiabatic", "--dims", "2,2", "--beta", "0.5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("subcommand", ["adiabatic", "sample"])
+    @pytest.mark.parametrize("flags", [
+        ["--T", "inf"], ["--T", "nan"], ["--T", "5", "--dt", "nan"], ["--T", "5", "--dt", "inf"],
+    ], ids=["T-inf", "T-nan", "dt-nan", "dt-inf"])
+    def test_non_finite_schedule_is_usage_error(self, tmp_path, subcommand, flags, capsys):
+        code = main([subcommand, "--dims", "2,2", "--beta", "0.7", *flags,
+                     "--out", str(tmp_path / "x.out")])
+        assert code == EXIT_USAGE
+        assert "must be finite and positive" in capsys.readouterr().err
 
 
 class TestSampleAndAnalyze:

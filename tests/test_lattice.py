@@ -4,6 +4,11 @@ import pytest
 from z2qsim.lattice import Boundary, build_lattice, gauge_fix, staple_masks
 
 
+def link_endpoints(lat, n):
+    site, mu = lat.link_site_dir(n)
+    return site, lat.shift_site(site, mu)
+
+
 def open_link_count(dims):
     total = 0
     for mu, L in enumerate(dims):
@@ -85,14 +90,6 @@ class TestGeometry:
         pairs = [lat.link_site_dir(n) for n in range(lat.n_links)]
         assert pairs == sorted(pairs)
 
-    def test_link_index_inverse(self, cube2):
-        lat, _ = cube2
-        for n in range(lat.n_links):
-            site, mu = lat.link_site_dir(n)
-            assert lat.link_index(site, mu) == n
-        with pytest.raises(KeyError):
-            lat.link_index(lat.n_sites - 1, 0)  # corner site has no outgoing links
-
     def test_shift_off_open_edge_is_none(self):
         lat = build_lattice((2, 3))
         edge = lat.site_index((1, 0))
@@ -110,7 +107,7 @@ class TestGeometry:
         degree_total = 0
         for site in range(lat.n_sites):
             for link, other in lat.incident_links(site):
-                a, b = lat.link_endpoints(link)
+                a, b = link_endpoints(lat, link)
                 assert {a, b} == {site, other}
             degree_total += len(lat.incident_links(site))
         assert degree_total == 2 * lat.n_links
@@ -128,7 +125,7 @@ class TestPlaquettes:
         for quad in lat.plaq_links:
             corners = []
             for l in quad:
-                corners.extend(lat.link_endpoints(int(l)))
+                corners.extend(link_endpoints(lat, int(l)))
             # four distinct links tracing a square: every corner appears twice
             assert len(set(quad.tolist())) == 4
             values, counts = np.unique(corners, return_counts=True)
@@ -196,7 +193,7 @@ class TestGaugeFixing:
         # connectivity over tree edges alone
         adj = {s: [] for s in range(lat.n_sites)}
         for n in gf.fixed:
-            a, b = lat.link_endpoints(n)
+            a, b = link_endpoints(lat, n)
             adj[a].append(b)
             adj[b].append(a)
         seen = {0}
@@ -260,18 +257,10 @@ class TestEncodeDecode:
         configs = gf.decode(idx)
         assert configs.dtype == np.int8
         for i, b in zip(idx, configs):
-            assert gf.encode(b) == int(i)
+            assert sum(1 << q for q, link in enumerate(gf.free) if b[link] < 0) == int(i)
 
     def test_batch_decode_shape(self, cube2):
         _, gf = cube2
         idx = np.arange(8, dtype=np.uint64).reshape(2, 4)
         out = gf.decode(idx)
         assert out.shape == (2, 4, gf.n_links)
-
-    def test_is_gauge_fixed(self, square3):
-        _, gf = square3
-        config = gf.decode(5)
-        assert gf.is_gauge_fixed(config)
-        flipped = config.copy()
-        flipped[gf.fixed[0]] = -1
-        assert not gf.is_gauge_fixed(flipped)
