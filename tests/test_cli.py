@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import z2qsim
-from z2qsim import classical, ensemble
+from z2qsim import classical, ensemble, quantum
 from z2qsim.cli import EXIT_CAP, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from z2qsim.lattice import Boundary, build_lattice, gauge_fix
 from z2qsim.limits import ENV_VAR
@@ -232,8 +232,33 @@ class TestAdiabatic:
         assert code == EXIT_USAGE
         assert "must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["10,inf", "10,-1"])
+    def test_bad_grid_point_fails_before_any_sweep(self, tmp_path, monkeypatch, grid):
+        calls = []
+        monkeypatch.setattr(quantum, "adiabatic_evolve", lambda *a: calls.append(a))
+        code = main(["adiabatic", "--preset", "hypercube", "--beta", "0.7", "--T-grid", grid,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert calls == []
+
+    def test_header_records_step_that_ran(self, tmp_path):
+        out = tmp_path / "ad.csv"
+        assert main(["adiabatic", "--dims", "2,2", "--beta", "0.7", "--T-grid", "1,0.9",
+                     "--dt", "0.3", "--out", str(out)]) == EXIT_OK
+        header, _, rows = read_csv(out)
+        assert header["dt"] == "0.3"
+        assert header["dt_eff"] == "0.25,0.3"
+        assert [r["dt"] for r in rows] == ["0.3", "0.3"]
+
 
 class TestSampleAndAnalyze:
+    def test_header_records_step_that_ran(self, tmp_path):
+        out = tmp_path / "s.dat"
+        assert main(["sample", "--dims", "2,2", "--beta", "0.7", "--T", "1", "--dt", "0.3",
+                     "--shots", "4", "--out", str(out)]) == EXIT_OK
+        extra = ensemble.load(out).meta.extra
+        assert (extra["dt"], extra["dt_eff"]) == ("0.3", "0.25")
+
     def test_single_shot(self, tmp_path):
         out = tmp_path / "s.dat"
         code = main(["sample", "--dims", "2,2", "--beta", "0.7", "--T", "10",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +69,66 @@ def dense_term_matrix(term, coupling):
 def random_state(dim, rng):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def reference_projector(dst, src, term, coupling, scale):
+    """The term-by-term kernel the blocked step replaced: dst += scale * h @ src
+    over the whole state, with float64 weights cast by numpy in each product."""
+    w0, w1 = quantum._term_weights(term, coupling)
+    shape = (1 << (term.n_qubits - 1 - term.qubit), 2, 1 << term.qubit)
+    a, b = src.reshape(shape)[:, 0, :], src.reshape(shape)[:, 1, :]
+    w0 = w0[term.c_table].reshape(a.shape)
+    w1 = w1[term.c_table].reshape(a.shape)
+    r = w0 * a
+    r += w1 * b
+    r *= scale
+    dst_a, dst_b = dst.reshape(shape)[:, 0, :], dst.reshape(shape)[:, 1, :]
+    dst_a += w0 * r
+    dst_b += w1 * r
+    return dst
+
+
+def reference_sweep(lat, gf, schedule):
+    terms = build_link_terms(lat, gf)
+    state = initial_state(gf.n_free, schedule.start)
+    scale = np.exp(-1j * schedule.dt_eff) - 1.0
+    for step in range(schedule.n_steps):
+        for term in terms:
+            reference_projector(state, state, term, schedule.coupling_at(step), scale)
+    return state
+
+
+def reference_hamiltonian(state, terms, coupling):
+    out = np.zeros_like(state)
+    for term in terms:
+        reference_projector(out, state, term, coupling, 1.0)
+    return out
+
+
+@pytest.fixture(scope="module")
+def two_qubit():
+    """2x3 open square: 2 free links."""
+    lat = build_lattice((2, 3))
+    return lat, gauge_fix(lat)
+
+
+@pytest.fixture(scope="module")
+def whole15():
+    """4x6 open square: 15 free links, the largest state applied whole."""
+    lat = build_lattice((4, 6))
+    return lat, gauge_fix(lat)
+
+
+@pytest.fixture(scope="module")
+def slab16():
+    """2x3x3 open: 16 free links, the smallest state cut into blocks."""
+    lat = build_lattice((2, 3, 3))
+    return lat, gauge_fix(lat)
+
+
+BLOCKING_LATTICES = (
+    "square2", "two_qubit", "square3", "cube2", "torus3", "whole15", "slab16", "hypercube",
+)
 
 
 class TestDiagonals:
@@ -310,6 +371,85 @@ class TestTermEvolution:
                 diag = apply_hamiltonian(basis, (term,), coupling)[b]
                 expected = flip_probability(int(config[link]), staple_sum(config, link, lat), beta)
                 assert diag == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestBlockedStep:
+    """The cache-blocked, two-thread Trotter step and H psi give the same
+    bytes as the term-by-term kernel above.  The lattices run from one free
+    link to the hypercube's 17, more than the 15-qubit block."""
+
+    @pytest.mark.parametrize("start", [StartKind.HOT, StartKind.COLD])
+    @pytest.mark.parametrize("name", BLOCKING_LATTICES)
+    def test_sweep_bytes_match_term_by_term(self, request, name, start):
+        lat, gf = request.getfixturevalue(name)
+        schedule = Schedule(start, beta_target=0.9, total_time=0.8, dt=0.2)
+        expected = reference_sweep(lat, gf, schedule)
+        assert adiabatic_evolve(lat, gf, schedule).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["square3", "cube2", "torus3"])
+    def test_blocks_on_small_lattices_keep_bytes(self, request, monkeypatch, name):
+        """Small lattices are applied whole; cutting them into 4-pair blocks
+        on two threads must not change a bit either."""
+        lat, gf = request.getfixturevalue(name)
+        schedule = Schedule(StartKind.COLD, beta_target=0.7, total_time=0.6, dt=0.2)
+        expected = reference_sweep(lat, gf, schedule)
+        monkeypatch.setattr(quantum, "_BLOCK_QUBITS", 3)
+        monkeypatch.setattr(quantum, "_usable_cpus", lambda: 2)
+        pairs = 1 << (gf.n_free - 1)
+        assert quantum._layout(gf.n_free) == (4, (0, pairs // 2, pairs))
+        assert adiabatic_evolve(lat, gf, schedule).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_helper_thread_only_for_large_states_on_two_cpus(
+        self, monkeypatch, whole15, slab16, cpus
+    ):
+        submitted = []
+        real = quantum._helper()
+
+        class Recorder:
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return real.submit(fn, *args)
+
+        monkeypatch.setattr(quantum, "_helper", Recorder)
+        monkeypatch.setattr(quantum, "_usable_cpus", lambda: cpus)
+        schedule = Schedule(StartKind.HOT, beta_target=0.7, total_time=0.4, dt=0.2)
+        adiabatic_evolve(*whole15, schedule)
+        assert submitted == []
+        expected = reference_sweep(*slab16, schedule)
+        assert adiabatic_evolve(*slab16, schedule).tobytes() == expected.tobytes()
+        # per step on two CPUs: both halves, then the top qubit's term
+        assert submitted == [(1,)] * (4 if cpus == 2 else 0)
+
+    @pytest.mark.parametrize("name", BLOCKING_LATTICES)
+    def test_single_terms_and_hamiltonian_match(self, request, name):
+        lat, gf = request.getfixturevalue(name)
+        terms = build_link_terms(lat, gf)
+        rng = np.random.default_rng(11)
+        coupling = Coupling(1.3)
+        psi = random_state(1 << gf.n_free, rng)
+        x = rng.normal(size=psi.size)
+        scale = np.exp(-0.3j) - 1.0
+        for term in terms:
+            expected = reference_projector(psi.copy(), psi.copy(), term, coupling, scale)
+            out = apply_term_evolution(psi.copy(), term, coupling, 0.3)
+            assert out.tobytes() == expected.tobytes()
+        for vector in (x, psi):
+            out = apply_hamiltonian(vector, terms, coupling)
+            assert out.dtype == vector.dtype
+            assert out.tobytes() == reference_hamiltonian(vector, terms, coupling).tobytes()
+
+    def test_frequent_thread_switches_keep_bytes(self, hypercube):
+        lat, gf = hypercube
+        schedule = Schedule(StartKind.HOT, beta_target=0.7, total_time=0.4, dt=0.2)
+        expected = reference_sweep(lat, gf, schedule)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = adiabatic_evolve(lat, gf, schedule)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestSchedule:
