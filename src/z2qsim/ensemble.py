@@ -91,9 +91,15 @@ class Ensemble:
             raise ValueError(f"configs must be 2D, got shape {configs.shape}")
         if configs.shape[0] < 1 or configs.shape[1] < 1:
             raise ValueError(f"configs must be at least 1 x 1, got shape {configs.shape}")
-        if not ((configs == 1) | (configs == -1)).all():
+        # the range check comes first, so the cast cannot wrap (257 -> 1); in
+        # [-1, 1] the cast then leaves only 0 to refuse.  No temporaries, and
+        # an int8 array is kept without a copy.
+        if not (configs.min() >= -1 and configs.max() <= 1):
             raise ValueError("configs must contain only +1 and -1")
-        self.configs = configs.astype(np.int8)
+        configs = configs.astype(np.int8, copy=False)
+        if np.count_nonzero(configs) != configs.size:
+            raise ValueError("configs must contain only +1 and -1")
+        self.configs = configs
 
     @property
     def n_configs(self) -> int:

@@ -8,14 +8,18 @@ one term per free link,
 
 with C_n the staple-sum operator, diagonal in the other qubits.  Because
 tanh^2 + sech^2 = 1 each h_n is a rank-1 projector h_n = w w^T, where the
-unit vector w = (w0, w1) on qubit n depends on C_n.  One kernel applies it:
-r = scale (w0 a + w1 b) on every amplitude pair (a, b), then a += w0 r and
-b += w1 r.  With scale = 1 and a separate output that is H psi; in place with
-scale = e^{-i dt} - 1 it is the exact evolution exp(-i dt h) = I +
-(e^{-i dt} - 1) h, so every Trotter factor is applied exactly.  On states
-of more than 2**15 amplitudes a Trotter step is cache-blocked and split over
-two threads without changing any amplitude's arithmetic (see
-``_apply_terms``).  The unique zero mode carries
+unit vector w = (w0, w1) on qubit n depends on C_n.
+
+A Trotter step applies each factor exactly as exp(-i dt h) = I +
+(e^{-i dt} - 1) h, through one projector kernel: r = scale (w0 a + w1 b) on
+every amplitude pair (a, b), then a += w0 r and b += w1 r, with scale =
+e^{-i dt} - 1.  On states of more than 2**15 amplitudes the step is
+cache-blocked and split over two threads without changing any amplitude's
+arithmetic (see ``_apply_terms``), so its output is byte-identical to
+term-by-term application.  H psi, which the eigensolver needs, is computed in
+the Pauli form instead, on the calling thread: H psi = D psi - 1/2 sum_n
+sech(beta C_n) X_n psi, with the diagonal D = sum_n <b|h_n|b> built once per
+solve (see ``apply_hamiltonian``).  The unique zero mode carries
 amplitudes e^{-S/2}, which is what makes measuring the final state
 equivalent to Gibbs sampling.
 
@@ -25,6 +29,7 @@ States are plain complex128 arrays of length 2**n_free.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -186,30 +191,29 @@ def _pair_view(state: np.ndarray, qubit: int, start: int, size: int) -> np.ndarr
     return state.reshape(-1, 2, lo)[row : row + rows, :, col : col + min(size, lo)]
 
 
-def _apply_projector(dst, src, c_table_block, w0, w1, scale, scratch):
-    """dst += scale * h @ src on one block of amplitude pairs; returns ``dst``.
+def _apply_projector(pairs, c_table_block, w0, w1, scale, scratch):
+    """pairs += scale * h @ pairs on one block of amplitude pairs.
 
-    ``dst`` and ``src`` are (rows, 2, lo) pair views, ``c_table_block`` the
-    block's rows * lo staple-table entries and ``w0``/``w1`` the weights in
-    the state's dtype, so no product casts.  Every product is written into
-    ``scratch``, a (4, block) array.  ``dst`` may be ``src``: r is formed
-    before either half is written.
+    ``pairs`` is a (rows, 2, lo) pair view, ``c_table_block`` the block's
+    rows * lo staple-table entries and ``w0``/``w1`` the weights in the
+    state's dtype, so no product casts.  Every product is written into
+    ``scratch``, a (4, block) array; r is formed before either half is
+    written.
     """
-    shape = (src.shape[0], src.shape[2])
+    shape = (pairs.shape[0], pairs.shape[2])
     c = c_table_block.reshape(shape)
     g0, g1, r, t = scratch[:, : c.size].reshape(4, *shape)
     # mode="clip": c_table is in range by construction, and the default
     # "raise" copies ``out`` on every call
     w0.take(c, out=g0, mode="clip")
     w1.take(c, out=g1, mode="clip")
-    np.multiply(g0, src[:, 0], out=r)
-    np.multiply(g1, src[:, 1], out=t)
+    a, b = pairs[:, 0], pairs[:, 1]
+    np.multiply(g0, a, out=r)
+    np.multiply(g1, b, out=t)
     r += t
     r *= scale
-    dst_a, dst_b = dst[:, 0], dst[:, 1]
-    dst_a += np.multiply(g0, r, out=t)
-    dst_b += np.multiply(g1, r, out=t)
-    return dst
+    a += np.multiply(g0, r, out=t)
+    b += np.multiply(g1, r, out=t)
 
 
 @lru_cache(maxsize=1)
@@ -220,11 +224,10 @@ def _helper():
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="z2q-step")
 
 
-def _apply_terms(dst, src, terms, coupling: Coupling, scale):
-    """For each term in turn, dst += scale * h @ src; returns ``dst``.
+def _apply_terms(state, terms, coupling: Coupling, scale):
+    """For each term in turn, state += scale * h @ state, in place.
 
-    ``terms`` ascend in qubit, as ``build_link_terms`` gives them.  In place
-    (``dst is src``) that is the product of the terms' factors.  With two
+    ``terms`` ascend in qubit, as ``build_link_terms`` gives them.  With two
     workers (see ``_layout``), worker h (the calling thread for h = 0, the
     helper thread for h = 1) takes the reduced indices [h, h + 1) * 2**(n-2)
     of every term: for q < n - 1 that is half h of the state, so both halves
@@ -234,18 +237,18 @@ def _apply_terms(dst, src, terms, coupling: Coupling, scale):
     ``perfbench/tracer.py`` wraps: its span stack is single-threaded.
     """
     if not terms:
-        return dst
+        return
     n = terms[0].n_qubits
     block, bounds = _layout(n)
     workers = len(bounds) - 1
     # at most 1 MiB per worker: freeing a larger array raises glibc's dynamic
     # mmap threshold, after which later temporaries stay resident
-    scratch = [np.empty((4, block), dtype=dst.dtype) for _ in range(workers)]
+    scratch = [np.empty((4, block), dtype=state.dtype) for _ in range(workers)]
     weights, items = {}, []  # the weights depend on the staple count alone
     for term in terms:
         if term.n_staples not in weights:
             pair = _term_weights(term, coupling)
-            weights[term.n_staples] = [w.astype(dst.dtype) for w in pair]
+            weights[term.n_staples] = [w.astype(state.dtype) for w in pair]
         items.append((term, *weights[term.n_staples]))
     chunked = [item for item in items if 1 << item[0].qubit <= block]
     blockwise = [item for item in items[len(chunked) :] if item[0].qubit < n - 1]
@@ -253,10 +256,9 @@ def _apply_terms(dst, src, terms, coupling: Coupling, scale):
 
     def apply(h, start, item):
         term, w0, w1 = item
-        out = _pair_view(dst, term.qubit, start, block)
-        pairs = out if src is dst else _pair_view(src, term.qubit, start, block)
+        pairs = _pair_view(state, term.qubit, start, block)
         c = term.c_table[start : start + block]
-        _apply_projector(out, pairs, c, w0, w1, scale, scratch[h])
+        _apply_projector(pairs, c, w0, w1, scale, scratch[h])
 
     def below_top(h):
         starts = range(bounds[h], bounds[h + 1], block)
@@ -282,13 +284,13 @@ def _apply_terms(dst, src, terms, coupling: Coupling, scale):
             work(0)
         finally:
             future.result()
-    return dst
 
 
 def trotter_step(state: np.ndarray, terms, coupling: Coupling, dt: float) -> np.ndarray:
     """In-place exact evolution exp(-i dt h) for each term in turn (ascending
     qubit); returns the state."""
-    return _apply_terms(state, state, terms, coupling, np.exp(-1j * dt) - 1.0)
+    _apply_terms(state, terms, coupling, np.exp(-1j * dt) - 1.0)
+    return state
 
 
 def apply_term_evolution(state: np.ndarray, term: LinkTerm, coupling: Coupling, dt: float):
@@ -296,8 +298,55 @@ def apply_term_evolution(state: np.ndarray, term: LinkTerm, coupling: Coupling, 
     return trotter_step(state, (term,), coupling, dt)
 
 
-def apply_hamiltonian(state: np.ndarray, terms, coupling: Coupling) -> np.ndarray:
-    return _apply_terms(np.zeros_like(state), state, terms, coupling, 1.0)
+def _hamiltonian_diagonal(terms, coupling: Coupling) -> np.ndarray:
+    """D = sum_n <b|h_n|b> on every basis state b, as float64.
+
+    <b|h_n|b> is w0(c_n)^2 where bit n of b is 0 and w1(c_n)^2 where it is 1:
+    the heat-bath probability of flipping link n, so D is the rate at which
+    the Glauber chain leaves b.
+    """
+    n = terms[0].n_qubits
+    half = 1 << (n - 1)
+    diagonal = np.zeros(2 * half)
+    for term in terms:
+        w0, w1 = _term_weights(term, coupling)
+        pairs = _pair_view(diagonal, term.qubit, 0, half)
+        c = term.c_table.reshape(pairs.shape[0], pairs.shape[2])
+        pairs[:, 0] += (w0 * w0)[c]
+        pairs[:, 1] += (w1 * w1)[c]
+    return diagonal
+
+
+def apply_hamiltonian(
+    state: np.ndarray, terms, coupling: Coupling, diagonal=None, scratch=None
+) -> np.ndarray:
+    """H psi in the Pauli form D psi - 1/2 sum_n sech(beta C_n) X_n psi, on
+    the calling thread; returns a new array in the state's dtype.
+
+    ``diagonal`` is D from ``_hamiltonian_diagonal(terms, coupling)`` and
+    ``scratch`` a (2, 2**(n-1)) array in the state's dtype.  Neither depends
+    on psi, so ``lowest_eigenvalues`` makes both once per solve; they are
+    made here when not given.  Per term, the off-diagonal w0 w1 =
+    -sech(beta c) / 2 is gathered once into ``scratch[0]``, and each half of
+    every amplitude pair gains it times the other half.
+    """
+    if diagonal is None:
+        diagonal = _hamiltonian_diagonal(terms, coupling)
+    if scratch is None:
+        scratch = np.empty((2, state.size >> 1), dtype=state.dtype)
+    out = np.multiply(diagonal, state, dtype=state.dtype)
+    tables = {}  # w0 w1 depends on the staple count alone
+    for term in terms:
+        if term.n_staples not in tables:
+            w0, w1 = _term_weights(term, coupling)
+            tables[term.n_staples] = (w0 * w1).astype(state.dtype)
+        src = _pair_view(state, term.qubit, 0, scratch.shape[1])
+        dst = _pair_view(out, term.qubit, 0, scratch.shape[1])
+        g, t = scratch.reshape(2, src.shape[0], src.shape[2])
+        tables[term.n_staples].take(term.c_table.reshape(g.shape), out=g, mode="clip")
+        dst[:, 0] += np.multiply(g, src[:, 1], out=t)
+        dst[:, 1] += np.multiply(g, src[:, 0], out=t)
+    return out
 
 
 def build_dense_hamiltonian(lattice: Lattice, gf: GaugeFixing, beta) -> np.ndarray:
@@ -458,8 +507,11 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> n
     """The k smallest Hamiltonian eigenvalues, ascending.
 
     Small systems are diagonalized densely; larger ones go through an
-    iterative matrix-free solver on the term-application kernel.
+    iterative matrix-free solver on ``apply_hamiltonian``, with the diagonal
+    and the scratch made once per solve.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     coupling = as_coupling(beta)
     n = gf.n_free
     dim = 1 << n
@@ -471,9 +523,15 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> n
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
     terms = build_link_terms(lattice, gf)
+    # the scratch, too, is made once per solve: allocated per matvec, glibc
+    # handed it back to the OS each time and every matvec faulted about 600
+    # pages back in (17 free links)
+    diagonal = _hamiltonian_diagonal(terms, coupling)
+    scratch = np.empty((2, dim >> 1))
 
     def matvec(x):
-        return apply_hamiltonian(np.asarray(x, dtype=np.float64).ravel(), terms, coupling)
+        x = np.asarray(x, dtype=np.float64).ravel()
+        return apply_hamiltonian(x, terms, coupling, diagonal, scratch)
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
     try:

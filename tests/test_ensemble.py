@@ -61,6 +61,22 @@ class TestContainer:
         with pytest.raises(ValueError):
             Ensemble(meta=meta, configs=np.ones(7, dtype=np.int8))
 
+    def test_int8_input_not_copied(self):
+        configs = np.ones((3, 7), dtype=np.int8)
+        ens = Ensemble(meta=make_ensemble().meta, configs=configs)
+        assert np.shares_memory(ens.configs, configs)
+
+    @pytest.mark.parametrize(
+        "value,dtype",
+        [(0, np.int8), (127, np.int8), (-128, np.int8), (257, np.int64), (0.5, np.float64)],
+    )
+    def test_rejects_values_the_cast_would_hide(self, value, dtype):
+        # int64 257 wraps to 1 in int8, and float 0.5 truncates to 0
+        configs = np.ones((3, 7), dtype=dtype)
+        configs[1, 4] = value
+        with pytest.raises(ValueError, match=r"only \+1 and -1"):
+            Ensemble(meta=make_ensemble().meta, configs=configs)
+
     @pytest.mark.parametrize("shape", [(0, 7), (3, 0), (0, 0)])
     def test_rejects_empty(self, shape):
         # an empty ensemble has no canonical body, so it could be saved but never loaded

@@ -374,9 +374,9 @@ class TestTermEvolution:
 
 
 class TestBlockedStep:
-    """The cache-blocked, two-thread Trotter step and H psi give the same
-    bytes as the term-by-term kernel above.  The lattices run from one free
-    link to the hypercube's 17, more than the 15-qubit block."""
+    """The cache-blocked, two-thread Trotter step gives the same bytes as the
+    term-by-term kernel above.  The lattices run from one free link to the
+    hypercube's 17, more than the 15-qubit block."""
 
     @pytest.mark.parametrize("start", [StartKind.HOT, StartKind.COLD])
     @pytest.mark.parametrize("name", BLOCKING_LATTICES)
@@ -434,10 +434,13 @@ class TestBlockedStep:
             expected = reference_projector(psi.copy(), psi.copy(), term, coupling, scale)
             out = apply_term_evolution(psi.copy(), term, coupling, 0.3)
             assert out.tobytes() == expected.tobytes()
+        # H psi is computed in the Pauli form, so it agrees with the projector
+        # kernel to rounding, not byte for byte
         for vector in (x, psi):
             out = apply_hamiltonian(vector, terms, coupling)
             assert out.dtype == vector.dtype
-            assert out.tobytes() == reference_hamiltonian(vector, terms, coupling).tobytes()
+            expected = reference_hamiltonian(vector, terms, coupling)
+            assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_frequent_thread_switches_keep_bytes(self, hypercube):
         lat, gf = hypercube
@@ -450,6 +453,51 @@ class TestBlockedStep:
         finally:
             sys.setswitchinterval(interval)
         assert out.tobytes() == expected.tobytes()
+
+
+class TestPauliHamiltonian:
+    """H psi = D psi - 1/2 sum_n sech(beta C_n) X_n psi, against the dense
+    matrix, the projector kernel and the zero mode."""
+
+    @pytest.mark.parametrize("name", ["square3", "cube2"])
+    def test_matches_dense(self, request, name):
+        lat, gf = request.getfixturevalue(name)
+        terms = build_link_terms(lat, gf)
+        rng = np.random.default_rng(12)
+        psi = random_state(1 << gf.n_free, rng)
+        for coupling in [Coupling(beta) for beta in KERNEL_BETAS] + [Coupling(infinite=True)]:
+            h = build_dense_hamiltonian(lat, gf, coupling)
+            for vector in (psi.real.copy(), psi):
+                out = apply_hamiltonian(vector, terms, coupling)
+                assert out.dtype == vector.dtype
+                np.testing.assert_allclose(out, h @ vector, rtol=0, atol=1e-13)
+                # the once-per-solve diagonal and scratch give the same bytes
+                diagonal = quantum._hamiltonian_diagonal(terms, coupling)
+                scratch = np.full((2, vector.size // 2), np.nan, dtype=vector.dtype)
+                for _ in range(2):
+                    again = apply_hamiltonian(vector, terms, coupling, diagonal, scratch)
+                    assert again.tobytes() == out.tobytes()
+
+    def test_hypercube_zero_mode(self, hypercube):
+        lat, gf = hypercube
+        terms = build_link_terms(lat, gf)
+        for beta in BETAS:
+            ref = ground_state_reference(lat, gf, beta)
+            assert np.abs(apply_hamiltonian(ref, terms, Coupling(beta))).max() < 1e-12
+
+    @pytest.mark.parametrize("beta", [0.7, 9.0])
+    def test_diagonal_is_glauber_escape_rate(self, cube2, beta):
+        """D[b] is the rate at which the heat-bath chain leaves b: the sum of
+        every free link's flip probability."""
+        lat, gf = cube2
+        diagonal = quantum._hamiltonian_diagonal(build_link_terms(lat, gf), Coupling(beta))
+        for b in range(1 << gf.n_free):
+            config = gf.decode(b)
+            expected = sum(
+                flip_probability(int(config[link]), staple_sum(config, link, lat), beta)
+                for link in gf.free
+            )
+            assert diagonal[b] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestSchedule:
@@ -638,7 +686,9 @@ class TestSpectrum:
         def counting(op, **kwargs):
             calls.append(kwargs)
             assert op.shape == (dim, dim)
-            np.testing.assert_allclose(op.matvec(x), expected, rtol=0, atol=1e-14)
+            first = op.matvec(x)
+            np.testing.assert_allclose(first, expected, rtol=0, atol=1e-14)
+            assert op.matvec(x).tobytes() == first.tobytes()  # scratch reused
             return np.array([0.25, 0.0])
 
         monkeypatch.setattr(quantum, "eigsh", counting)
@@ -657,6 +707,25 @@ class TestSpectrum:
         with pytest.raises(quantum.ConvergenceError, match="2 of 3") as info:
             lowest_eigenvalues(lat, gf, 0.7, k=3)
         np.testing.assert_array_equal(info.value.eigenvalues, [0.0, 0.5])
+
+    @pytest.mark.parametrize("name", ["square3", "hypercube"])  # dense and iterative
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "2", None])
+    def test_k_must_be_positive_integer(self, request, monkeypatch, name, k):
+        lat, gf = request.getfixturevalue(name)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("k must be checked before the Hamiltonian is built")
+
+        monkeypatch.setattr(quantum, "build_dense_hamiltonian", unreachable)
+        monkeypatch.setattr(quantum, "build_link_terms", unreachable)
+        with pytest.raises(ValueError, match="positive integer"):
+            lowest_eigenvalues(lat, gf, 0.7, k=k)
+
+    def test_numpy_integer_k(self, square3):
+        lat, gf = square3
+        np.testing.assert_array_equal(
+            lowest_eigenvalues(lat, gf, 0.7, k=np.int64(3)), lowest_eigenvalues(lat, gf, 0.7, k=3)
+        )
 
     def test_eigensolver_cap(self):
         lat = build_lattice((5, 4), Boundary.PERIODIC)
