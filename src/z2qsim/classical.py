@@ -10,6 +10,8 @@ can be evaluated in one vectorized call.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,38 +110,51 @@ def enumerate_basis(gf: GaugeFixing, chunk: int = 1 << 16):
 def exact_expectation(
     lattice: Lattice,
     gf: GaugeFixing,
-    beta: float,
+    beta: float | Sequence[float],
     observable,
     chunk: int = 1 << 16,
-) -> float:
+) -> float | list[float]:
     """Gibbs average of an observable over all gauge-fixed configurations.
 
     ``observable(configs)`` must return one value per configuration.
+    ``beta`` is a scalar, giving a float, or a 1-D sequence, giving a list
+    with one value per coupling in the given order.  Each chunk of the basis
+    is decoded, and its plaquette sums and observable values are computed,
+    once for all couplings; every value equals the scalar call bit for bit.
 
-    Accumulates with a running max-shift of -S so exp never overflows;
-    the result is independent of chunk size to ~1e-15 relative.
+    Accumulates with a running max-shift of -S per coupling so exp never
+    overflows; the result is independent of chunk size to ~1e-15 relative.
     """
+    scalar = np.ndim(beta) == 0
+    betas = [beta] if scalar else list(beta)
+    if np.ndim(beta) > 1 or not betas:
+        raise ValueError(f"beta must be a number or a non-empty 1-D sequence, got {beta!r}")
+    for b in betas:
+        Coupling(float(b))  # finite and >= 0, else ValueError
     limits.check_free_links(gf.n_free, "exact_expectation")
-    shift = -math.inf  # running max of -S
-    z = 0.0
-    oz = 0.0
+    shift = [-math.inf] * len(betas)  # running max of -S
+    z = [0.0] * len(betas)
+    oz = [0.0] * len(betas)
     for _, configs in enumerate_basis(gf, chunk):
-        s = action(configs, lattice, beta)
+        sums = plaquette_products(configs, lattice).sum(axis=-1, dtype=np.int64)
         vals = np.asarray(observable(configs), dtype=np.float64)
         if vals.shape != (len(configs),):
             raise ValueError(
                 f"observable returned shape {vals.shape}, expected ({len(configs)},)"
             )
-        m = float((-s).max())
-        if m > shift:
-            rescale = math.exp(shift - m)
-            z *= rescale
-            oz *= rescale
-            shift = m
-        w = np.exp(-s - shift)
-        z += float(w.sum())
-        oz += float((vals * w).sum())
-    return oz / z
+        for i, b in enumerate(betas):
+            s = -b * sums  # the action, as ``action`` computes it
+            m = float((-s).max())
+            if m > shift[i]:
+                rescale = math.exp(shift[i] - m)
+                z[i] *= rescale
+                oz[i] *= rescale
+                shift[i] = m
+            w = np.exp(-s - shift[i])
+            z[i] += float(w.sum())
+            oz[i] += float((vals * w).sum())
+    values = [o / zz for o, zz in zip(oz, z)]
+    return values[0] if scalar else values
 
 
 # ----- Glauber dynamics -----
@@ -158,32 +173,42 @@ def flip_probability(u: int, c: int, beta: float) -> float:
     return 1.0 / (1.0 + math.exp(ds))
 
 
-def _staple_sum_bits(state: int, masks: tuple[int, ...]) -> int:
-    c = 0
-    for m in masks:
-        c += 1 - 2 * ((state & m).bit_count() & 1)
-    return c
+def _acceptance_table(masks, beta: float):
+    """``accept[q][bit][k]``: flip probability of free link q holding ``bit``
+    with k of its ``len(masks[q])`` staples odd, i.e. staple sum C = len - 2k."""
+    return tuple(
+        tuple(
+            tuple(flip_probability(1 - 2 * bit, len(m) - 2 * k, beta) for k in range(len(m) + 1))
+            for bit in (0, 1)
+        )
+        for m in masks
+    )
 
 
 def _run_sweeps(
     state: int,
     n_sweeps: int,
     masks,
+    accept,
     n_free: int,
-    beta: float,
     rng: np.random.Generator,
 ) -> int:
     """n_sweeps full sweeps (n_free single-link updates each) on a bit state."""
     for _ in range(n_sweeps):
-        qs = rng.integers(0, n_free, size=n_free)
-        us = rng.random(n_free)
+        qs = rng.integers(0, n_free, size=n_free).tolist()
+        us = rng.random(n_free).tolist()
         for q, uni in zip(qs, us):
-            q = int(q)
-            c = _staple_sum_bits(state, masks[q])
-            u = 1 - 2 * ((state >> q) & 1)
-            if uni < flip_probability(u, c, beta):
+            k = 0
+            for m in masks[q]:
+                k += (state & m).bit_count() & 1
+            if uni < accept[q][(state >> q) & 1][k]:
                 state ^= 1 << q
     return state
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def mcmc_run(
@@ -198,18 +223,21 @@ def mcmc_run(
     """Glauber-chain baseline: n_configs gauge configurations, ``stride``
     sweeps apart, after ``n_therm`` thermalization sweeps from a random start.
     Bit-identical for a fixed seed."""
-    if n_configs < 1 or n_therm < 0 or stride < 1:
-        raise ValueError("counts must be positive (n_therm may be 0)")
+    Coupling(float(beta))  # finite and >= 0, else ValueError
+    _check_count("n_configs", n_configs, 1)
+    _check_count("n_therm", n_therm, 0)
+    _check_count("stride", stride, 1)
     rng = np.random.default_rng(seed)
     masks = staple_masks(lattice, gf)
+    accept = _acceptance_table(masks, beta)
     n_free = gf.n_free
     state = 0
     for q, bit in enumerate(rng.integers(0, 2, size=n_free)):
         state |= int(bit) << q
-    state = _run_sweeps(state, n_therm, masks, n_free, beta, rng)
+    state = _run_sweeps(state, n_therm, masks, accept, n_free, rng)
     samples = np.empty(n_configs, dtype=np.uint64)
     for i in range(n_configs):
-        state = _run_sweeps(state, stride, masks, n_free, beta, rng)
+        state = _run_sweeps(state, stride, masks, accept, n_free, rng)
         samples[i] = state
     meta = EnsembleMeta(
         dims=lattice.dims,

@@ -222,7 +222,7 @@ def run_exact(args) -> int:
     lattice, gf = _resolve_lattice(args)
     betas = _resolve_betas(args)
     obs = lambda cfgs: classical.plaquette_average(cfgs, lattice)  # noqa: E731
-    rows = [(beta, classical.exact_expectation(lattice, gf, beta, obs)) for beta in betas]
+    rows = list(zip(betas, classical.exact_expectation(lattice, gf, betas, obs)))
     rows.sort()
     header = _header_lines(args, lattice, beta_grid=",".join(repr(b) for b in betas))
     _write_csv(args.out, header, ("beta", "P_exact"), rows)

@@ -7,7 +7,7 @@ import pytest
 from z2qsim import limits
 from z2qsim.classical import (
     Coupling,
-    _staple_sum_bits,
+    _acceptance_table,
     action,
     action_density,
     enumerate_basis,
@@ -20,6 +20,7 @@ from z2qsim.classical import (
 )
 from z2qsim.ensemble import Sampler
 from z2qsim.lattice import build_lattice, gauge_fix, staple_masks
+from z2qsim.quantum import build_dense_hamiltonian
 
 
 def naive_expectation(lattice, beta, observable):
@@ -40,6 +41,55 @@ def naive_expectation(lattice, beta, observable):
     weights = np.exp(beta * plaq_sum)
     values = np.asarray(observable(states), dtype=np.float64)
     return float((values * weights).sum() / weights.sum())
+
+
+def reference_run_sweeps(state, n_sweeps, masks, n_free, beta, rng):
+    """The Glauber loop as it was before the acceptance table: the staple sum
+    and ``flip_probability`` recomputed on every update."""
+    for _ in range(n_sweeps):
+        qs = rng.integers(0, n_free, size=n_free)
+        us = rng.random(n_free)
+        for q, uni in zip(qs, us):
+            q = int(q)
+            c = 0
+            for m in masks[q]:
+                c += 1 - 2 * ((state & m).bit_count() & 1)
+            u = 1 - 2 * ((state >> q) & 1)
+            if uni < flip_probability(u, c, beta):
+                state ^= 1 << q
+    return state
+
+
+def reference_mcmc_configs(lattice, gf, beta, n_configs, n_therm, stride, seed):
+    """``mcmc_run``'s configurations, drawn through ``reference_run_sweeps``."""
+    rng = np.random.default_rng(seed)
+    masks = staple_masks(lattice, gf)
+    state = 0
+    for q, bit in enumerate(rng.integers(0, 2, size=gf.n_free)):
+        state |= int(bit) << q
+    state = reference_run_sweeps(state, n_therm, masks, gf.n_free, beta, rng)
+    samples = []
+    for _ in range(n_configs):
+        state = reference_run_sweeps(state, stride, masks, gf.n_free, beta, rng)
+        samples.append(state)
+    return gf.decode(np.array(samples, dtype=np.uint64))
+
+
+def glauber_generator(lattice, gf, beta):
+    """N_free * S (I - P) S^-1 for the random-site heat-bath matrix P, with
+    P[x, y] the probability of the move x -> y and S = diag(e^{-S_cl/2})."""
+    n = gf.n_free
+    dim = 1 << n
+    configs = gf.decode(np.arange(dim))
+    p = np.zeros((dim, dim))
+    for x in range(dim):
+        for q, link in enumerate(gf.free):
+            c = staple_sum(configs[x], link, lattice)
+            flip = flip_probability(int(configs[x, link]), c, beta)
+            p[x, x ^ (1 << q)] = flip / n
+            p[x, x] += (1.0 - flip) / n
+    sqrt_pi = np.exp(-action(configs, lattice, beta) / 2)
+    return n * (np.eye(dim) - sqrt_pi[:, None] * p / sqrt_pi[None, :])
 
 
 def gauge_flip(config, lattice, site):
@@ -223,6 +273,34 @@ class TestExactExpectation:
         with pytest.raises(limits.EnumerationCapError):
             exact_expectation(lat, gf, 0.5, lambda c: plaquette_average(c, lat))
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
+    @pytest.mark.parametrize("name", ["square3", "cube2", "torus3"])
+    def test_beta_grid_equals_scalar_calls(self, name, chunk, request):
+        lat, gf = request.getfixturevalue(name)
+        obs = lambda c: plaquette_products(c, lat)[..., 0]  # noqa: E731
+        betas = [1.1, 0.0, 0.7, 0.7, 600.0, 0.3]
+        grid = exact_expectation(lat, gf, betas, obs, chunk=chunk)
+        assert grid == [exact_expectation(lat, gf, b, obs, chunk=chunk) for b in betas]
+        assert exact_expectation(lat, gf, np.array(betas), obs, chunk=chunk) == grid
+        assert exact_expectation(lat, gf, [0.7], obs, chunk=chunk) == [grid[2]]
+        assert type(exact_expectation(lat, gf, 0.7, obs, chunk=chunk)) is float
+
+    def test_beta_grid_on_hypercube(self, hypercube):
+        lat, gf = hypercube
+        obs = lambda c: plaquette_average(c, lat)  # noqa: E731
+        betas = (0.1, 0.7, 1.5)
+        for chunk in (1 << 12, 1 << 16):
+            grid = exact_expectation(lat, gf, betas, obs, chunk=chunk)
+            assert grid == [exact_expectation(lat, gf, b, obs, chunk=chunk) for b in betas]
+
+    @pytest.mark.parametrize(
+        "beta", [math.nan, math.inf, -0.5, [0.5, math.nan], [], [[0.5, 0.7]]]
+    )
+    def test_bad_beta_rejected(self, square3, beta):
+        lat, gf = square3
+        with pytest.raises(ValueError):
+            exact_expectation(lat, gf, beta, lambda c: plaquette_average(c, lat))
+
     def test_enumerate_basis_covers_space(self, square3):
         _, gf = square3
         seen = []
@@ -273,14 +351,45 @@ class TestFlipProbability:
 class TestGlauberChain:
     @pytest.mark.parametrize("name", ["square3", "cube2", "torus3", "hypercube"])
     def test_staple_sum_bits_match_staple_sum(self, name, request):
+        # the entry the chain reads, indexed by the link's bit and its count of
+        # odd staples, is the flip probability of the decoded configuration
         lat, gf = request.getfixturevalue(name)
         masks = staple_masks(lat, gf)
         rng = np.random.default_rng(13)
-        for state in rng.integers(0, 1 << gf.n_free, size=20):
-            state = int(state)
-            config = gf.decode(state)
-            for q, link in enumerate(gf.free):
-                assert _staple_sum_bits(state, masks[q]) == staple_sum(config, link, lat)
+        for beta in (0.0, 0.7, 9.0):
+            accept = _acceptance_table(masks, beta)
+            for state in rng.integers(0, 1 << gf.n_free, size=20):
+                state = int(state)
+                config = gf.decode(state)
+                for q, link in enumerate(gf.free):
+                    k = sum((state & m).bit_count() & 1 for m in masks[q])
+                    c = staple_sum(config, link, lat)
+                    expected = flip_probability(int(config[link]), c, beta)
+                    assert accept[q][(state >> q) & 1][k] == expected
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 9.0])
+    @pytest.mark.parametrize("name", ["square2", "square3", "cube2", "torus3", "hypercube"])
+    def test_mcmc_matches_reference_stream(self, name, beta, seed, request):
+        lat, gf = request.getfixturevalue(name)
+        ens = mcmc_run(lat, gf, beta, n_configs=60, n_therm=20, stride=3, seed=seed)
+        expected = reference_mcmc_configs(lat, gf, beta, 60, 20, 3, seed)
+        np.testing.assert_array_equal(ens.configs, expected)
+
+    @pytest.mark.parametrize("name", ["cube2", "square3"])
+    def test_parent_hamiltonian_is_glauber_generator(self, name, request):
+        # H = N_free S (I - P_Glauber) S^-1, so gap(H) = N_free * the chain's gap
+        lat, gf = request.getfixturevalue(name)
+        for beta in (0.0, 0.8, 2.0):
+            np.testing.assert_allclose(
+                build_dense_hamiltonian(lat, gf, beta),
+                glauber_generator(lat, gf, beta),
+                rtol=0,
+                atol=1e-13,
+            )
+        gap = {"cube2": 0.304690, "square3": 0.446817}[name]
+        spectrum = np.linalg.eigvalsh(glauber_generator(lat, gf, 0.8))
+        assert spectrum[1] == pytest.approx(gap, abs=1e-6)
 
     def test_mcmc_reproducible(self, square3):
         lat, gf = square3
@@ -313,3 +422,22 @@ class TestGlauberChain:
             mcmc_run(lat, gf, 0.7, n_configs=0)
         with pytest.raises(ValueError):
             mcmc_run(lat, gf, 0.7, n_configs=5, stride=0)
+        for beta in (math.nan, -0.5, math.inf):
+            with pytest.raises(ValueError):
+                mcmc_run(lat, gf, beta, n_configs=5)
+        for counts in (
+            {"n_configs": 2.5},
+            {"n_configs": True},
+            {"n_configs": 5, "n_therm": 1.0},
+            {"n_configs": 5, "n_therm": -1},
+            {"n_configs": 5, "stride": False},
+            {"n_configs": 5, "stride": "2"},
+        ):
+            with pytest.raises(ValueError):
+                mcmc_run(lat, gf, 0.7, **counts)
+
+    def test_mcmc_accepts_numpy_counts(self, square3):
+        lat, gf = square3
+        a = mcmc_run(lat, gf, 0.7, n_configs=np.int64(7), n_therm=np.int32(3), stride=2)
+        b = mcmc_run(lat, gf, 0.7, n_configs=7, n_therm=3, stride=2)
+        np.testing.assert_array_equal(a.configs, b.configs)
