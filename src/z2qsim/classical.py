@@ -23,30 +23,21 @@ from .lattice import GaugeFixing, Lattice, staple_masks
 
 @dataclass(frozen=True)
 class Coupling:
-    """Inverse coupling beta = 1/g^2.
-
-    The weak-coupling limit beta -> infinity is a flag, never a float inf:
-    coefficient formulas take the limit analytically so no 0*inf can occur.
-    """
+    """Inverse coupling beta = 1/g^2, finite and >= 0."""
 
     beta: float = 0.0
-    infinite: bool = False
 
     def __post_init__(self):
-        if not self.infinite:
-            if not math.isfinite(self.beta) or self.beta < 0.0:
-                raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not math.isfinite(self.beta) or self.beta < 0.0:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
     def tanh_sech(self, c) -> tuple[np.ndarray, np.ndarray]:
         """(tanh(beta*c), sech(beta*c)) for integer staple sums c.
 
-        In the infinite limit this is (sign(c), 0) for c != 0 and (0, 1) for
-        c = 0.  sech is computed as 2 e^{-|x|} / (1 + e^{-2|x|}) so large
-        arguments underflow to 0 instead of overflowing cosh.
+        sech is computed as 2 e^{-|x|} / (1 + e^{-2|x|}) so large arguments
+        underflow to 0 instead of overflowing cosh.
         """
         c = np.asarray(c, dtype=np.float64)
-        if self.infinite:
-            return np.sign(c), (c == 0).astype(np.float64)
         x = self.beta * c
         ax = np.abs(x)
         sech = 2.0 * np.exp(-ax) / (1.0 + np.exp(-2.0 * ax))
@@ -131,6 +122,7 @@ def exact_expectation(
         raise ValueError(f"beta must be a number or a non-empty 1-D sequence, got {beta!r}")
     for b in betas:
         Coupling(float(b))  # finite and >= 0, else ValueError
+    _check_count("chunk", chunk, 1)
     limits.check_free_links(gf.n_free, "exact_expectation")
     shift = [-math.inf] * len(betas)  # running max of -S
     z = [0.0] * len(betas)

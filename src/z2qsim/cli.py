@@ -165,8 +165,6 @@ def _resolve_betas(args) -> tuple[float, ...]:
         betas = (args.beta,)
     else:
         raise ValueError("a coupling is required: pass --beta or --beta-grid")
-    for b in betas:
-        classical.Coupling(b)  # validates finite, >= 0
     return betas
 
 

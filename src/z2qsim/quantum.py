@@ -15,7 +15,7 @@ A Trotter step applies each factor exactly as exp(-i dt h) = I +
 every amplitude pair (a, b), then a += w0 r and b += w1 r, with scale =
 e^{-i dt} - 1.  On states of more than 2**15 amplitudes the step is
 cache-blocked and split over two threads without changing any amplitude's
-arithmetic (see ``_apply_terms``), so its output is byte-identical to
+arithmetic (see ``trotter_step``), so its output is byte-identical to
 term-by-term application.  H psi, which the eigensolver needs, is computed in
 the Pauli form instead, on the calling thread: H psi = D psi - 1/2 sum_n
 sech(beta C_n) X_n psi, with the diagonal D = sum_n <b|h_n|b> built once per
@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import limits
-from .classical import Coupling, as_coupling
+from .classical import Coupling, _check_count, as_coupling
 from .ensemble import Ensemble, EnsembleMeta, Sampler
 from .lattice import GaugeFixing, Lattice, staple_masks
 
@@ -77,15 +77,11 @@ def plaquette_sum_diagonal(lattice: Lattice, gf: GaugeFixing) -> np.ndarray:
 def ground_state_reference(lattice: Lattice, gf: GaugeFixing, beta) -> np.ndarray:
     """Normalized amplitudes e^{-S/2} / sqrt(Z), the analytic zero mode.
 
-    Accepts a float or a Coupling; the infinite limit returns the uniform
-    superposition of maximum-plaquette-sum states.
+    Accepts a float or a Coupling.
     """
     coupling = as_coupling(beta)
     ps = plaquette_sum_diagonal(lattice, gf).astype(np.float64)
-    if coupling.infinite:
-        amps = (ps == ps.max()).astype(np.float64)
-    else:
-        amps = np.exp(0.5 * coupling.beta * (ps - ps.max()))
+    amps = np.exp(0.5 * coupling.beta * (ps - ps.max()))
     return amps / np.linalg.norm(amps)
 
 
@@ -135,10 +131,7 @@ def build_link_terms(lattice: Lattice, gf: GaugeFixing) -> tuple[LinkTerm, ...]:
 def _term_weights(term: LinkTerm, coupling: Coupling):
     """(w0, w1) of h = w w^T for each distinct staple sum, in c_table order."""
     c = np.arange(-term.n_staples, term.n_staples + 1)
-    if coupling.infinite:
-        e = (c == 0).astype(np.float64)
-    else:
-        e = np.exp(-coupling.beta * np.abs(c))
+    e = np.exp(-coupling.beta * np.abs(c))
     norm = 1.0 / np.sqrt(1.0 + e * e)
     small = e * norm
     return np.where(c >= 0, small, norm), -np.where(c >= 0, norm, small)
@@ -224,8 +217,9 @@ def _helper():
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="z2q-step")
 
 
-def _apply_terms(state, terms, coupling: Coupling, scale):
-    """For each term in turn, state += scale * h @ state, in place.
+def trotter_step(state: np.ndarray, terms, coupling: Coupling, dt: float) -> np.ndarray:
+    """In-place exact evolution exp(-i dt h) = I + (e^{-i dt} - 1) h for each
+    term in turn; returns the state.
 
     ``terms`` ascend in qubit, as ``build_link_terms`` gives them.  With two
     workers (see ``_layout``), worker h (the calling thread for h = 0, the
@@ -237,7 +231,8 @@ def _apply_terms(state, terms, coupling: Coupling, scale):
     ``perfbench/tracer.py`` wraps: its span stack is single-threaded.
     """
     if not terms:
-        return
+        return state
+    scale = np.exp(-1j * dt) - 1.0
     n = terms[0].n_qubits
     block, bounds = _layout(n)
     workers = len(bounds) - 1
@@ -284,17 +279,16 @@ def _apply_terms(state, terms, coupling: Coupling, scale):
             work(0)
         finally:
             future.result()
-
-
-def trotter_step(state: np.ndarray, terms, coupling: Coupling, dt: float) -> np.ndarray:
-    """In-place exact evolution exp(-i dt h) for each term in turn (ascending
-    qubit); returns the state."""
-    _apply_terms(state, terms, coupling, np.exp(-1j * dt) - 1.0)
     return state
 
 
 def apply_term_evolution(state: np.ndarray, term: LinkTerm, coupling: Coupling, dt: float):
-    """In-place exact evolution exp(-i dt h) for one term; returns the state."""
+    """In-place exact evolution exp(-i dt h) for one term; returns the state.
+
+    The pipeline steps through ``trotter_step``; this one-term entry point is
+    what the expm tests call and what ``perfbench/tracer.py`` wraps by name to
+    time each qubit position, so it is kept.
+    """
     return trotter_step(state, (term,), coupling, dt)
 
 
@@ -395,8 +389,7 @@ class Schedule:
     dt: float = 0.2
 
     def __post_init__(self):
-        if not math.isfinite(self.beta_target) or self.beta_target < 0:
-            raise ValueError(f"beta_target must be finite and >= 0, got {self.beta_target}")
+        Coupling(self.beta_target)  # finite and >= 0, else ValueError
         for name in ("total_time", "dt"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
@@ -458,8 +451,7 @@ def sample_configs(
 ) -> Ensemble:
     """Projectively measure every qubit ``n_shots`` times; returns the decoded
     gauge configurations as a quantum-sampler ensemble."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be positive")
+    _check_count("n_shots", n_shots, 1)
     if math.isnan(beta) or beta < 0:
         raise ValueError(f"beta must be >= 0 (inf allowed), got {beta}")
     # |psi|^2, its normalisation and the CDF share one float64 buffer
@@ -490,25 +482,14 @@ def sample_configs(
 # ----- spectrum diagnostics -----
 
 
-def eigsh(*args, **kwargs):
-    """``scipy.sparse.linalg.eigsh``, imported on the first call.
-
-    Importing ``scipy.sparse.linalg`` costs about 0.4 s, which every ``z2q``
-    process would pay although only ``lowest_eigenvalues`` needs it.  That
-    function looks ``quantum.eigsh`` up when it runs, so a caller may rebind
-    this name, e.g. to an ``eigsh`` with a fixed start-vector generator.
-    """
-    from scipy.sparse.linalg import eigsh as scipy_eigsh
-
-    return scipy_eigsh(*args, **kwargs)
-
-
 def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> np.ndarray:
     """The k smallest Hamiltonian eigenvalues, ascending.
 
     Small systems are diagonalized densely; larger ones go through an
     iterative matrix-free solver on ``apply_hamiltonian``, with the diagonal
-    and the scratch made once per solve.
+    and the scratch made once per solve.  Its start vector is drawn from a
+    fixed seed, so two calls return the same bytes; scipy otherwise draws it
+    from operating-system entropy.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
@@ -520,7 +501,8 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> n
         h = build_dense_hamiltonian(lattice, gf, coupling)
         return np.linalg.eigvalsh(h)[:k]
     limits.check_free_links(n, "iterative eigensolver", cap=limits.EIGENSOLVER_CAP)
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+    # imported here: scipy.sparse.linalg costs every z2q process about 0.4 s
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     terms = build_link_terms(lattice, gf)
     # the scratch, too, is made once per solve: allocated per matvec, glibc
@@ -534,8 +516,9 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> n
         return apply_hamiltonian(x, terms, coupling, diagonal, scratch)
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
     try:
-        vals = eigsh(op, k=k, which="SA", return_eigenvectors=False)
+        vals = eigsh(op, k=k, which="SA", return_eigenvectors=False, v0=v0)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigensolver converged only {len(exc.eigenvalues)} of {k} eigenvalues",

@@ -119,12 +119,6 @@ class TestCoupling:
         np.testing.assert_allclose(t, [-1.0, 1.0])
         np.testing.assert_allclose(s, [0.0, 0.0])
 
-    def test_infinite_limit(self):
-        c = Coupling(infinite=True)
-        t, s = c.tanh_sech(np.array([-2.0, 0.0, 3.0]))
-        np.testing.assert_array_equal(t, [-1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(s, [0.0, 1.0, 0.0])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Coupling(-0.1)
@@ -300,6 +294,12 @@ class TestExactExpectation:
         lat, gf = square3
         with pytest.raises(ValueError):
             exact_expectation(lat, gf, beta, lambda c: plaquette_average(c, lat))
+
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, True, "3", None])
+    def test_bad_chunk_rejected(self, square3, chunk):
+        lat, gf = square3
+        with pytest.raises(ValueError, match="chunk must be an integer >= 1"):
+            exact_expectation(lat, gf, 0.5, lambda c: plaquette_average(c, lat), chunk=chunk)
 
     def test_enumerate_basis_covers_space(self, square3):
         _, gf = square3

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -163,11 +164,11 @@ class TestGroundStateReference:
         ref = ground_state_reference(lat, gf, 0.0)
         np.testing.assert_allclose(ref, 2.0 ** (-gf.n_free / 2), atol=1e-15)
 
-    def test_infinite_limit_is_ordered_state(self, hypercube):
+    def test_large_beta_is_ordered_state(self, hypercube):
         lat, gf = hypercube
-        ref = ground_state_reference(lat, gf, Coupling(infinite=True))
-        assert ref[0] == 1.0
-        assert np.count_nonzero(ref) == 1
+        ref = ground_state_reference(lat, gf, 50.0)
+        cold = initial_state(gf.n_free, StartKind.COLD)
+        np.testing.assert_allclose(ref, cold.real, rtol=0, atol=1e-60)
 
     def test_matches_gibbs_weights(self, square3):
         lat, gf = square3
@@ -331,18 +332,18 @@ class TestTermEvolution:
             apply_term_evolution(psi, terms[i % len(terms)], coupling, 0.23)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
-    def test_infinite_coupling_limit(self, cube2):
+    def test_huge_coupling_matches_expm(self, cube2):
         lat, gf = cube2
         terms = build_link_terms(lat, gf)
         rng = np.random.default_rng(5)
         psi = random_state(1 << gf.n_free, rng)
-        inf = Coupling(infinite=True)
         huge = Coupling(1e8)  # tanh saturates to +-1, sech underflows to 0
         for term in terms:
-            a = apply_term_evolution(psi.copy(), term, inf, 0.3)
-            b = apply_term_evolution(psi.copy(), term, huge, 0.3)
-            np.testing.assert_allclose(a, b, atol=1e-15)
-            assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+            with np.errstate(over="raise"):
+                out = apply_term_evolution(psi.copy(), term, huge, 0.3)
+                expected = expm(-1j * 0.3 * dense_term_matrix(term, huge)) @ psi
+            np.testing.assert_allclose(out, expected, atol=1e-12)
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_term_application_matches_dense(self, square3):
         lat, gf = square3
@@ -465,7 +466,7 @@ class TestPauliHamiltonian:
         terms = build_link_terms(lat, gf)
         rng = np.random.default_rng(12)
         psi = random_state(1 << gf.n_free, rng)
-        for coupling in [Coupling(beta) for beta in KERNEL_BETAS] + [Coupling(infinite=True)]:
+        for coupling in [Coupling(beta) for beta in KERNEL_BETAS + (1e8,)]:
             h = build_dense_hamiltonian(lat, gf, coupling)
             for vector in (psi.real.copy(), psi):
                 out = apply_hamiltonian(vector, terms, coupling)
@@ -646,6 +647,10 @@ class TestExpectationAndSampling:
         for beta in (math.nan, -0.1):
             with pytest.raises(ValueError):
                 sample_configs(hot, lat, gf, 5, beta=beta)
+        for n_shots in (2.5, True, "3", -1):
+            with pytest.raises(ValueError, match="n_shots must be an integer >= 1"):
+                sample_configs(hot, lat, gf, n_shots, beta=0.1)
+        assert sample_configs(hot, lat, gf, np.int64(5), beta=0.1).n_configs == 5
         assert sample_configs(hot, lat, gf, 5, beta=math.inf).meta.beta == math.inf
 
 
@@ -676,6 +681,13 @@ class TestSpectrum:
         assert abs(vals[0]) < 1e-7
         assert vals[1] > 0.01
 
+    def test_iterative_path_is_reproducible(self):
+        lat = build_lattice((4, 3), Boundary.PERIODIC)
+        gf = gauge_fix(lat)
+        assert gf.n_free == 13
+        first = lowest_eigenvalues(lat, gf, 0.7, k=2)
+        assert lowest_eigenvalues(lat, gf, 0.7, k=2).tobytes() == first.tobytes()
+
     def test_eigsh_seam_is_the_solver_that_runs(self, hypercube, monkeypatch):
         lat, gf = hypercube
         dim = 1 << gf.n_free
@@ -691,9 +703,12 @@ class TestSpectrum:
             assert op.matvec(x).tobytes() == first.tobytes()  # scratch reused
             return np.array([0.25, 0.0])
 
-        monkeypatch.setattr(quantum, "eigsh", counting)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
         np.testing.assert_array_equal(lowest_eigenvalues(lat, gf, 0.7, k=2), [0.0, 0.25])
-        assert calls == [{"k": 2, "which": "SA", "return_eigenvectors": False}]
+        (kwargs,) = calls
+        v0 = kwargs.pop("v0")
+        assert kwargs == {"k": 2, "which": "SA", "return_eigenvectors": False}
+        assert v0.tobytes() == np.random.default_rng(0).uniform(-1.0, 1.0, dim).tobytes()
 
     def test_no_convergence_carries_sorted_partial_values(self, hypercube, monkeypatch):
         lat, gf = hypercube
@@ -703,7 +718,7 @@ class TestSpectrum:
                 "ARPACK error -1: No convergence", np.array([0.5, 0.0]), np.zeros((op.shape[0], 2))
             )
 
-        monkeypatch.setattr(quantum, "eigsh", stalled)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(quantum.ConvergenceError, match="2 of 3") as info:
             lowest_eigenvalues(lat, gf, 0.7, k=3)
         np.testing.assert_array_equal(info.value.eigenvalues, [0.0, 0.5])
