@@ -21,7 +21,9 @@ the Pauli form instead, on the calling thread: H psi = D psi - 1/2 sum_n
 sech(beta C_n) X_n psi, with the diagonal D = sum_n <b|h_n|b> built once per
 solve (see ``apply_hamiltonian``).  The unique zero mode carries
 amplitudes e^{-S/2}, which is what makes measuring the final state
-equivalent to Gibbs sampling.
+equivalent to Gibbs sampling.  The eigensolver starts from it: E0 is the
+Rayleigh quotient of this analytic zero mode, and the values above it come
+from LOBPCG on its orthogonal complement (see ``lowest_eigenvalues``).
 
 States are plain complex128 arrays of length 2**n_free.
 """
@@ -481,29 +483,55 @@ def sample_configs(
 
 # ----- spectrum diagnostics -----
 
+# Residual bound ||H v - lambda v|| for every returned unit v.  H is
+# symmetric, so each value lies within its residual of an eigenvalue, and
+# away from degeneracy within residual**2 / spacing: on the periodic 4x4
+# lattice at beta = 0.7 (17 free links) 1e-7 took 128 matvecs and gave the
+# gap to 1e-14, where 1e-8 took 139 and 1e-10 took 182.
+_LOBPCG_TOL = 1e-7
+# LOBPCG iterations, each one matvec per sought value, before the solve is
+# declared stalled.  The 17-link hypercube takes about 660 at beta = 3, where
+# its gap is 2e-5 (12 s); 2000 bounds a stalled solve near 30 s per value.
+_LOBPCG_MAXITER = 2000
+# Jacobi preconditioner 1/(D + shift) with D the diagonal of H, the Glauber
+# escape rate.  D nearly vanishes on ordered states at large beta, and the
+# shift keeps the preconditioner bounded there.  On the periodic 4x4 lattice
+# at beta = 0.7 the solve took 128 matvecs with it and 266 without; shifts
+# from 0.01 to 0.1 were level there, and 1.0 took 211 matvecs against 132 on
+# the hypercube at beta = 1.5.
+_PRECONDITIONER_SHIFT = 0.1
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b, kept off BLAS (an OpenBLAS dot spins up its threads)."""
+    return float(np.multiply(a, b).sum())
+
 
 def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> np.ndarray:
     """The k smallest Hamiltonian eigenvalues, ascending.
 
-    Small systems are diagonalized densely; larger ones go through an
-    iterative matrix-free solver on ``apply_hamiltonian``, with the diagonal
-    and the scratch made once per solve.  Its start vector is drawn from a
-    fixed seed, so two calls return the same bytes; scipy otherwise draws it
-    from operating-system entropy.
+    Up to ``limits.DENSE_HAMILTONIAN_CAP`` free links H is diagonalized
+    densely.  Above that the lowest value is E0 = <psi0|H|psi0>, the Rayleigh
+    quotient of the analytic zero mode psi0 = ``ground_state_reference``, and
+    the k - 1 values above it come from LOBPCG (Knyazev 2001) on the
+    complement of psi0: matrix-free on ``apply_hamiltonian``, with a Jacobi
+    preconditioner and a seeded start block, so two calls return the same
+    bytes.  The diagonal and the scratch are made once per solve.  A pair
+    whose residual exceeds the tolerance raises ``ConvergenceError`` carrying
+    all k values; a k that LOBPCG cannot take (dim - 1 < 5 (k - 1)) raises
+    ``ValueError``.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     coupling = as_coupling(beta)
     n = gf.n_free
-    dim = 1 << n
-    k = min(k, dim)
     if n <= limits.DENSE_HAMILTONIAN_CAP:
         h = build_dense_hamiltonian(lattice, gf, coupling)
         return np.linalg.eigvalsh(h)[:k]
     limits.check_free_links(n, "iterative eigensolver", cap=limits.EIGENSOLVER_CAP)
-    # imported here: scipy.sparse.linalg costs every z2q process about 0.4 s
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
+    dim = 1 << n
+    if 5 * (k - 1) > dim - 1:
+        raise ValueError(f"k = {k} is too large for {n} free links: at most {1 + (dim - 1) // 5}")
     terms = build_link_terms(lattice, gf)
     # the scratch, too, is made once per solve: allocated per matvec, glibc
     # handed it back to the OS each time and every matvec faulted about 600
@@ -515,13 +543,34 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> n
         x = np.asarray(x, dtype=np.float64).ravel()
         return apply_hamiltonian(x, terms, coupling, diagonal, scratch)
 
+    psi0 = ground_state_reference(lattice, gf, coupling)
+    e0 = _dot(psi0, matvec(psi0))
+    if k == 1:
+        return np.array([e0])
+    # imported here: scipy.sparse.linalg costs every z2q process about 0.4 s
+    from scipy.sparse.linalg import LinearOperator, lobpcg
+
     op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-    try:
-        vals = eigsh(op, k=k, which="SA", return_eigenvectors=False, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"eigensolver converged only {len(exc.eigenvalues)} of {k} eigenvalues",
-            eigenvalues=np.sort(exc.eigenvalues),
-        ) from exc
-    return np.sort(vals)
+    inverse = diagonal + _PRECONDITIONER_SHIFT
+    np.reciprocal(inverse, out=inverse)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, (dim, k - 1))
+    vals, vecs = lobpcg(
+        op,
+        start,
+        M=lambda block: inverse[:, None] * block,
+        Y=psi0[:, None],
+        tol=_LOBPCG_TOL,
+        maxiter=_LOBPCG_MAXITER,
+        largest=False,
+    )
+    values = np.sort(np.concatenate(([e0], vals)))
+    for value, v in zip(vals, vecs.T):
+        r = matvec(v) - value * v
+        residual = math.sqrt(_dot(r, r) / _dot(v, v))
+        if not residual <= _LOBPCG_TOL:
+            raise ConvergenceError(
+                f"eigensolver did not converge: residual {residual:.3g} for "
+                f"eigenvalue {value:.6g} exceeds {_LOBPCG_TOL:g}",
+                eigenvalues=values,
+            )
+    return values

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 from scipy.linalg import expm
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from z2qsim import limits, quantum
 from z2qsim.classical import (
@@ -688,53 +687,115 @@ class TestSpectrum:
         first = lowest_eigenvalues(lat, gf, 0.7, k=2)
         assert lowest_eigenvalues(lat, gf, 0.7, k=2).tobytes() == first.tobytes()
 
-    def test_eigsh_seam_is_the_solver_that_runs(self, hypercube, monkeypatch):
+    def test_lobpcg_is_the_solver_that_runs(self, hypercube, monkeypatch):
         lat, gf = hypercube
         dim = 1 << gf.n_free
         x = np.random.default_rng(5).standard_normal(dim)
         expected = apply_hamiltonian(x, build_link_terms(lat, gf), Coupling(0.7))
-        calls = []
+        solver, real_apply = scipy.sparse.linalg.lobpcg, quantum.apply_hamiltonian
+        calls, buffers = [], set()
 
-        def counting(op, **kwargs):
-            calls.append(kwargs)
-            assert op.shape == (dim, dim)
-            first = op.matvec(x)
-            np.testing.assert_allclose(first, expected, rtol=0, atol=1e-14)
-            assert op.matvec(x).tobytes() == first.tobytes()  # scratch reused
-            return np.array([0.25, 0.0])
+        def apply_recording(state, terms, coupling, diagonal=None, scratch=None):
+            buffers.add((id(diagonal), id(scratch)))
+            return real_apply(state, terms, coupling, diagonal, scratch)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
-        np.testing.assert_array_equal(lowest_eigenvalues(lat, gf, 0.7, k=2), [0.0, 0.25])
-        (kwargs,) = calls
-        v0 = kwargs.pop("v0")
-        assert kwargs == {"k": 2, "which": "SA", "return_eigenvectors": False}
-        assert v0.tobytes() == np.random.default_rng(0).uniform(-1.0, 1.0, dim).tobytes()
+        def recording(A, X, **kwargs):
+            calls.append((X.copy(), kwargs))  # lobpcg projects X in place
+            assert A.shape == (dim, dim)
+            np.testing.assert_allclose(A.matvec(x), expected, rtol=0, atol=1e-14)
+            return solver(A, X, **kwargs)
+
+        monkeypatch.setattr(quantum, "apply_hamiltonian", apply_recording)
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", recording)
+        vals = lowest_eigenvalues(lat, gf, 0.7, k=2)
+        ((start, kwargs),) = calls
+        assert start.tobytes() == np.random.default_rng(0).uniform(-1.0, 1.0, (dim, 1)).tobytes()
+        assert kwargs["Y"][:, 0].tobytes() == ground_state_reference(lat, gf, 0.7).tobytes()
+        assert kwargs["largest"] is False
+        diagonal = quantum._hamiltonian_diagonal(build_link_terms(lat, gf), Coupling(0.7))
+        jacobi = 1.0 / (diagonal + quantum._PRECONDITIONER_SHIFT)
+        assert kwargs["M"](np.ones((dim, 1)))[:, 0].tobytes() == jacobi.tobytes()
+        # one diagonal and one scratch for every matvec, none made per call
+        ((diagonal_id, scratch_id),) = buffers
+        assert id(None) not in (diagonal_id, scratch_id)
+        np.testing.assert_allclose(vals, [0.0, 0.0953066876221689], rtol=0, atol=1e-12)
 
     def test_no_convergence_carries_sorted_partial_values(self, hypercube, monkeypatch):
         lat, gf = hypercube
+        (e0,) = lowest_eigenvalues(lat, gf, 0.7, k=1)
 
-        def stalled(op, **kwargs):
-            raise ArpackNoConvergence(
-                "ARPACK error -1: No convergence", np.array([0.5, 0.0]), np.zeros((op.shape[0], 2))
+        def stalled(A, X, **kwargs):
+            return np.array([0.5]), np.ones_like(X)  # not an eigenvector of H
+
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", stalled)
+        with pytest.raises(quantum.ConvergenceError, match="did not converge") as info:
+            lowest_eigenvalues(lat, gf, 0.7, k=2)
+        assert info.value.eigenvalues.tolist() == sorted([e0, 0.5])
+
+    @pytest.mark.parametrize(
+        "name, k, betas",
+        [("cube2", 4, (0.0, 0.7)), ("square3", 3, (0.7, 1.5, 3.0))],
+        ids=["cube2", "square3"],
+    )
+    def test_deflated_path_matches_dense(self, request, monkeypatch, name, k, betas):
+        lat, gf = request.getfixturevalue(name)
+        dense = [np.linalg.eigvalsh(build_dense_hamiltonian(lat, gf, b))[:k] for b in betas]
+        monkeypatch.setattr(limits, "DENSE_HAMILTONIAN_CAP", gf.n_free - 1)
+        for beta, expected in zip(betas, dense):
+            np.testing.assert_allclose(
+                lowest_eigenvalues(lat, gf, beta, k=k), expected, rtol=0, atol=1e-10
             )
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-        with pytest.raises(quantum.ConvergenceError, match="2 of 3") as info:
-            lowest_eigenvalues(lat, gf, 0.7, k=3)
-        np.testing.assert_array_equal(info.value.eigenvalues, [0.0, 0.5])
+    def test_deflated_path_matches_arpack(self):
+        from scipy.sparse.linalg import LinearOperator, eigsh
 
-    @pytest.mark.parametrize("name", ["square3", "hypercube"])  # dense and iterative
-    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "2", None])
-    def test_k_must_be_positive_integer(self, request, monkeypatch, name, k):
-        lat, gf = request.getfixturevalue(name)
+        lat = build_lattice((4, 3), Boundary.PERIODIC)
+        gf = gauge_fix(lat)
+        assert gf.n_free == 13
+        dim = 1 << gf.n_free
+        terms, coupling = build_link_terms(lat, gf), Coupling(0.7)
+        op = LinearOperator(
+            (dim, dim),
+            matvec=lambda v: apply_hamiltonian(v.ravel(), terms, coupling),
+            dtype=np.float64,
+        )
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+        expected = np.sort(eigsh(op, k=3, which="SA", return_eigenvectors=False, v0=v0))
+        np.testing.assert_allclose(
+            lowest_eigenvalues(lat, gf, 0.7, k=3), expected, rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("beta", [0.2, 0.7, 1.5])
+    def test_zero_mode_is_exact_on_hypercube(self, hypercube, beta):
+        lat, gf = hypercube
+        psi0 = ground_state_reference(lat, gf, beta)
+        h_psi0 = apply_hamiltonian(psi0, build_link_terms(lat, gf), Coupling(beta))
+        assert np.linalg.norm(h_psi0) <= 1e-12
+        assert abs(lowest_eigenvalues(lat, gf, beta, k=1)[0]) <= 1e-12
+
+    @pytest.fixture
+    def no_builders(self, monkeypatch):
+        """Make every builder of H or psi0 fail, so a test that passes built nothing."""
 
         def unreachable(*args, **kwargs):
             raise AssertionError("k must be checked before the Hamiltonian is built")
 
-        monkeypatch.setattr(quantum, "build_dense_hamiltonian", unreachable)
-        monkeypatch.setattr(quantum, "build_link_terms", unreachable)
+        for name in ("build_dense_hamiltonian", "build_link_terms", "ground_state_reference"):
+            monkeypatch.setattr(quantum, name, unreachable)
+
+    @pytest.mark.parametrize("name", ["square3", "hypercube"])  # dense and iterative
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "2", None])
+    def test_k_must_be_positive_integer(self, request, no_builders, name, k):
+        lat, gf = request.getfixturevalue(name)
         with pytest.raises(ValueError, match="positive integer"):
             lowest_eigenvalues(lat, gf, 0.7, k=k)
+
+    def test_k_beyond_lobpcg_block_rejected(self, hypercube, no_builders):
+        # LOBPCG takes k - 1 vectors above psi0 only while dim - 1 >= 5 (k - 1):
+        # at most 26215 on 17 free links
+        lat, gf = hypercube
+        with pytest.raises(ValueError, match="at most 26215"):
+            lowest_eigenvalues(lat, gf, 0.7, k=30000)
 
     def test_numpy_integer_k(self, square3):
         lat, gf = square3
