@@ -44,10 +44,6 @@ class Coupling:
         return np.tanh(x), sech
 
 
-def as_coupling(beta) -> Coupling:
-    return beta if isinstance(beta, Coupling) else Coupling(float(beta))
-
-
 # ----- action -----
 
 
@@ -90,11 +86,14 @@ def staple_sum(config, n: int, lattice: Lattice) -> int:
 # ----- brute-force expectation -----
 
 
-def enumerate_basis(gf: GaugeFixing, chunk: int = 1 << 16):
+_CHUNK = 1 << 16  # basis states decoded at a time by ``enumerate_basis``
+
+
+def enumerate_basis(gf: GaugeFixing):
     """Yield (indices, configs) chunks covering all 2**n_free gauge-fixed states."""
     total = 1 << gf.n_free
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
         yield idx, gf.decode(idx)
 
 
@@ -102,12 +101,14 @@ def exact_expectation(
     lattice: Lattice,
     gf: GaugeFixing,
     beta: float | Sequence[float],
-    observable,
-    chunk: int = 1 << 16,
+    observable=None,
 ) -> float | list[float]:
     """Gibbs average of an observable over all gauge-fixed configurations.
 
-    ``observable(configs)`` must return one value per configuration.
+    ``observable(configs)`` must return one value per configuration.  When
+    it is None the average is of the mean plaquette, computed from the
+    plaquette sums the Gibbs weights use with ``plaquette_average``'s
+    arithmetic, so it equals the call with that observable bit for bit.
     ``beta`` is a scalar, giving a float, or a 1-D sequence, giving a list
     with one value per coupling in the given order.  Each chunk of the basis
     is decoded, and its plaquette sums and observable values are computed,
@@ -122,14 +123,14 @@ def exact_expectation(
         raise ValueError(f"beta must be a number or a non-empty 1-D sequence, got {beta!r}")
     for b in betas:
         Coupling(float(b))  # finite and >= 0, else ValueError
-    _check_count("chunk", chunk, 1)
     limits.check_free_links(gf.n_free, "exact_expectation")
     shift = [-math.inf] * len(betas)  # running max of -S
     z = [0.0] * len(betas)
     oz = [0.0] * len(betas)
-    for _, configs in enumerate_basis(gf, chunk):
+    for _, configs in enumerate_basis(gf):
         sums = plaquette_products(configs, lattice).sum(axis=-1, dtype=np.int64)
-        vals = np.asarray(observable(configs), dtype=np.float64)
+        vals = sums / lattice.n_plaquettes if observable is None else observable(configs)
+        vals = np.asarray(vals, dtype=np.float64)
         if vals.shape != (len(configs),):
             raise ValueError(
                 f"observable returned shape {vals.shape}, expected ({len(configs)},)"

@@ -219,8 +219,7 @@ def _cell(value) -> str:
 def run_exact(args) -> int:
     lattice, gf = _resolve_lattice(args)
     betas = _resolve_betas(args)
-    obs = lambda cfgs: classical.plaquette_average(cfgs, lattice)  # noqa: E731
-    rows = list(zip(betas, classical.exact_expectation(lattice, gf, betas, obs)))
+    rows = list(zip(betas, classical.exact_expectation(lattice, gf, betas)))
     rows.sort()
     header = _header_lines(args, lattice, beta_grid=",".join(repr(b) for b in betas))
     _write_csv(args.out, header, ("beta", "P_exact"), rows)
@@ -339,7 +338,10 @@ def run_analyze(args) -> int:
                 f"unknown observable {name!r}; choose from {', '.join(_OBSERVABLE_NAMES)}"
             )
     ens = ensemble.load(args.ensemble)
-    lattice = build_lattice(ens.meta.dims, ens.meta.boundary)
+    try:
+        lattice = build_lattice(ens.meta.dims, ens.meta.boundary)
+    except ValueError as exc:
+        raise ensemble.HeaderError(f"header names no valid lattice: {exc}") from None
     if ens.n_links != lattice.n_links:
         raise ensemble.HeaderError(
             f"ensemble has {ens.n_links} links but dims imply {lattice.n_links}"

@@ -117,10 +117,6 @@ class Ensemble:
 _PLUS, _MINUS, _ONE, _SPACE, _NEWLINE = b"+-1 \n"
 
 
-def _format_beta(beta: float) -> str:
-    return "inf" if math.isinf(beta) else repr(float(beta))
-
-
 def save(ensemble: Ensemble, path) -> None:
     """Write atomically: a temp file in the target directory, then rename."""
     meta = ensemble.meta
@@ -139,7 +135,7 @@ def save(ensemble: Ensemble, path) -> None:
         FORMAT_MAGIC,
         f"dims={','.join(str(d) for d in meta.dims)}",
         f"boundary={meta.boundary.value}",
-        f"beta={_format_beta(meta.beta)}",
+        f"beta={float(meta.beta)!r}",
         f"sampler={meta.sampler.value}",
         f"seed={meta.seed}",
         f"n_configs={ensemble.n_configs}",
@@ -191,10 +187,12 @@ def load(path) -> Ensemble:
     except UnicodeDecodeError as exc:
         raise HeaderError(f"header is not ASCII: {exc}") from None
     entries = _parse_header(head_text)
+    from .classical import Coupling  # not at the top: classical imports this module
+
     try:
         dims = tuple(int(d) for d in entries["dims"].split(","))
         boundary = Boundary(entries["boundary"])
-        beta = float(entries["beta"])
+        beta = Coupling(float(entries["beta"])).beta
         sampler = Sampler(entries["sampler"])
         seed = int(entries["seed"])
         n_configs = int(entries["n_configs"])
@@ -204,8 +202,6 @@ def load(path) -> Ensemble:
         raise HeaderError(f"invalid header value: {exc}") from None
     if n_configs < 1 or n_links < 1:
         raise HeaderError(f"n_configs={n_configs} and n_links={n_links} must both be positive")
-    if math.isnan(beta) or beta < 0:
-        raise HeaderError(f"header beta must be >= 0 (inf allowed), got {beta}")
     body = np.frombuffer(blob, dtype=np.uint8, offset=sep + 2)
     if body.size != n_configs * n_links * 3:
         raise LengthMismatchError(

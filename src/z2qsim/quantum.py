@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import limits
-from .classical import Coupling, _check_count, as_coupling
+from .classical import Coupling, _check_count
 from .ensemble import Ensemble, EnsembleMeta, Sampler
 from .lattice import GaugeFixing, Lattice, staple_masks
 
@@ -76,14 +76,11 @@ def plaquette_sum_diagonal(lattice: Lattice, gf: GaugeFixing) -> np.ndarray:
     return total
 
 
-def ground_state_reference(lattice: Lattice, gf: GaugeFixing, beta) -> np.ndarray:
-    """Normalized amplitudes e^{-S/2} / sqrt(Z), the analytic zero mode.
-
-    Accepts a float or a Coupling.
-    """
-    coupling = as_coupling(beta)
+def ground_state_reference(lattice: Lattice, gf: GaugeFixing, beta: float) -> np.ndarray:
+    """Normalized amplitudes e^{-S/2} / sqrt(Z), the analytic zero mode."""
+    Coupling(beta)  # finite and >= 0, else ValueError
     ps = plaquette_sum_diagonal(lattice, gf).astype(np.float64)
-    amps = np.exp(0.5 * coupling.beta * (ps - ps.max()))
+    amps = np.exp(0.5 * beta * (ps - ps.max()))
     return amps / np.linalg.norm(amps)
 
 
@@ -345,14 +342,14 @@ def apply_hamiltonian(
     return out
 
 
-def build_dense_hamiltonian(lattice: Lattice, gf: GaugeFixing, beta) -> np.ndarray:
+def build_dense_hamiltonian(lattice: Lattice, gf: GaugeFixing, beta: float) -> np.ndarray:
     """Dense real-symmetric matrix of the full Hamiltonian (small systems only).
 
     Built link by link from the Pauli form, independently of the fast
     term-application path, so the two can be checked against each other.
     """
     limits.check_free_links(gf.n_free, "dense Hamiltonian", cap=limits.DENSE_HAMILTONIAN_CAP)
-    coupling = as_coupling(beta)
+    coupling = Coupling(beta)
     n = gf.n_free
     dim = 1 << n
     idx = np.arange(dim)
@@ -454,8 +451,7 @@ def sample_configs(
     """Projectively measure every qubit ``n_shots`` times; returns the decoded
     gauge configurations as a quantum-sampler ensemble."""
     _check_count("n_shots", n_shots, 1)
-    if math.isnan(beta) or beta < 0:
-        raise ValueError(f"beta must be >= 0 (inf allowed), got {beta}")
+    Coupling(beta)  # finite and >= 0, else ValueError
     # |psi|^2, its normalisation and the CDF share one float64 buffer
     cdf = np.abs(np.asarray(state, dtype=np.complex128))
     if cdf.shape != (1 << gf.n_free,):
@@ -507,7 +503,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.multiply(a, b).sum())
 
 
-def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> np.ndarray:
+def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta: float, k: int = 4) -> np.ndarray:
     """The k smallest Hamiltonian eigenvalues, ascending.
 
     Up to ``limits.DENSE_HAMILTONIAN_CAP`` free links H is diagonalized
@@ -519,14 +515,16 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> n
     bytes.  The diagonal and the scratch are made once per solve.  A pair
     whose residual exceeds the tolerance raises ``ConvergenceError`` carrying
     all k values; a k that LOBPCG cannot take (dim - 1 < 5 (k - 1)) raises
-    ``ValueError``.
+    ``ValueError``.  The values above E0 are certified only to the absolute
+    residual ``_LOBPCG_TOL``: a gap below about 1e-6 is only a variational
+    upper bound.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    coupling = as_coupling(beta)
+    coupling = Coupling(beta)
     n = gf.n_free
     if n <= limits.DENSE_HAMILTONIAN_CAP:
-        h = build_dense_hamiltonian(lattice, gf, coupling)
+        h = build_dense_hamiltonian(lattice, gf, beta)
         return np.linalg.eigvalsh(h)[:k]
     limits.check_free_links(n, "iterative eigensolver", cap=limits.EIGENSOLVER_CAP)
     dim = 1 << n
@@ -543,7 +541,7 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta, k: int = 4) -> n
         x = np.asarray(x, dtype=np.float64).ravel()
         return apply_hamiltonian(x, terms, coupling, diagonal, scratch)
 
-    psi0 = ground_state_reference(lattice, gf, coupling)
+    psi0 = ground_state_reference(lattice, gf, beta)
     e0 = _dot(psi0, matvec(psi0))
     if k == 1:
         return np.array([e0])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from z2qsim import limits
+from z2qsim import classical, limits
 from z2qsim.classical import (
     Coupling,
     _acceptance_table,
@@ -241,11 +241,12 @@ class TestExactExpectation:
         p = exact_expectation(lat, gf, 0.0, lambda c: plaquette_average(c, lat))
         assert abs(p) < 1e-14
 
-    def test_chunk_independence(self, square3):
+    def test_chunk_independence(self, square3, monkeypatch):
         lat, gf = square3
         obs = lambda c: plaquette_average(c, lat)  # noqa: E731
-        a = exact_expectation(lat, gf, 0.8, obs, chunk=3)
         b = exact_expectation(lat, gf, 0.8, obs)
+        monkeypatch.setattr(classical, "_CHUNK", 3)
+        a = exact_expectation(lat, gf, 0.8, obs)
         assert a == pytest.approx(b, abs=1e-14)
 
     def test_large_beta_stable(self, square2):
@@ -269,23 +270,45 @@ class TestExactExpectation:
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
     @pytest.mark.parametrize("name", ["square3", "cube2", "torus3"])
-    def test_beta_grid_equals_scalar_calls(self, name, chunk, request):
+    def test_beta_grid_equals_scalar_calls(self, name, chunk, request, monkeypatch):
         lat, gf = request.getfixturevalue(name)
+        monkeypatch.setattr(classical, "_CHUNK", chunk)
         obs = lambda c: plaquette_products(c, lat)[..., 0]  # noqa: E731
         betas = [1.1, 0.0, 0.7, 0.7, 600.0, 0.3]
-        grid = exact_expectation(lat, gf, betas, obs, chunk=chunk)
-        assert grid == [exact_expectation(lat, gf, b, obs, chunk=chunk) for b in betas]
-        assert exact_expectation(lat, gf, np.array(betas), obs, chunk=chunk) == grid
-        assert exact_expectation(lat, gf, [0.7], obs, chunk=chunk) == [grid[2]]
-        assert type(exact_expectation(lat, gf, 0.7, obs, chunk=chunk)) is float
+        grid = exact_expectation(lat, gf, betas, obs)
+        assert grid == [exact_expectation(lat, gf, b, obs) for b in betas]
+        assert exact_expectation(lat, gf, np.array(betas), obs) == grid
+        assert exact_expectation(lat, gf, [0.7], obs) == [grid[2]]
+        assert type(exact_expectation(lat, gf, 0.7, obs)) is float
 
-    def test_beta_grid_on_hypercube(self, hypercube):
+    def test_beta_grid_on_hypercube(self, hypercube, monkeypatch):
         lat, gf = hypercube
         obs = lambda c: plaquette_average(c, lat)  # noqa: E731
         betas = (0.1, 0.7, 1.5)
         for chunk in (1 << 12, 1 << 16):
-            grid = exact_expectation(lat, gf, betas, obs, chunk=chunk)
-            assert grid == [exact_expectation(lat, gf, b, obs, chunk=chunk) for b in betas]
+            monkeypatch.setattr(classical, "_CHUNK", chunk)
+            grid = exact_expectation(lat, gf, betas, obs)
+            assert grid == [exact_expectation(lat, gf, b, obs) for b in betas]
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 16])
+    @pytest.mark.parametrize("name", ["square3", "cube2", "torus3", "hypercube"])
+    def test_default_observable_is_mean_plaquette(self, name, chunk, request, monkeypatch):
+        """Without an observable the plaquette sums of the weights give the
+        mean plaquette: the same bits as the ``plaquette_average`` call, from
+        one ``plaquette_products`` call per chunk instead of two."""
+        lat, gf = request.getfixturevalue(name)
+        monkeypatch.setattr(classical, "_CHUNK", chunk)
+        betas = [0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 1.2, 1.5]
+        expected = exact_expectation(lat, gf, betas, lambda c: plaquette_average(c, lat))
+        calls, products = [], classical.plaquette_products
+
+        def counted(*args):
+            calls.append(args)
+            return products(*args)
+
+        monkeypatch.setattr(classical, "plaquette_products", counted)
+        assert exact_expectation(lat, gf, betas) == expected
+        assert len(calls) == -(-(1 << gf.n_free) // chunk)  # one per chunk
 
     @pytest.mark.parametrize(
         "beta", [math.nan, math.inf, -0.5, [0.5, math.nan], [], [[0.5, 0.7]]]
@@ -295,16 +318,11 @@ class TestExactExpectation:
         with pytest.raises(ValueError):
             exact_expectation(lat, gf, beta, lambda c: plaquette_average(c, lat))
 
-    @pytest.mark.parametrize("chunk", [0, -1, 2.5, True, "3", None])
-    def test_bad_chunk_rejected(self, square3, chunk):
-        lat, gf = square3
-        with pytest.raises(ValueError, match="chunk must be an integer >= 1"):
-            exact_expectation(lat, gf, 0.5, lambda c: plaquette_average(c, lat), chunk=chunk)
-
-    def test_enumerate_basis_covers_space(self, square3):
+    def test_enumerate_basis_covers_space(self, square3, monkeypatch):
         _, gf = square3
+        monkeypatch.setattr(classical, "_CHUNK", 5)
         seen = []
-        for idx, configs in enumerate_basis(gf, chunk=5):
+        for idx, configs in enumerate_basis(gf):
             assert configs.shape == (len(idx), gf.n_links)
             seen.extend(idx.tolist())
         assert seen == list(range(1 << gf.n_free))

@@ -344,13 +344,33 @@ class TestSampleAndAnalyze:
         sfile.write_bytes(head + b"\n\n" + crlf)
         assert main(["analyze", "--ensemble", str(sfile)]) == EXIT_IO
 
-    @pytest.mark.parametrize("beta", ["nan", "-2.0"])
+    @pytest.mark.parametrize("beta", ["nan", "-2.0", "inf"])
     def test_analyze_invalid_beta_header(self, tmp_path, beta):
         sfile = tmp_path / "s.dat"
         assert main(["mcmc", "--dims", "2,2", "--beta", "0.4", "--n-configs", "5",
                      "--out", str(sfile)]) == EXIT_OK
         sfile.write_text(sfile.read_text().replace("beta=0.4\n", f"beta={beta}\n", 1))
         assert main(["analyze", "--ensemble", str(sfile)]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("dims=2,2\n", "dims=2\n"),  # one extent: no plaquette
+            ("dims=2,2\n", "dims=2,2,2,2,2\n"),  # five extents
+            ("boundary=open\n", "boundary=periodic\n"),  # periodic with extent 2
+            ("dims=2,2\n", "dims=3,3\n"),  # a lattice, but not of these links
+        ],
+        ids=["one-extent", "five-extents", "periodic-extent-2", "n-links-mismatch"],
+    )
+    def test_analyze_impossible_lattice_header(self, tmp_path, capsys, edit):
+        # the header is the file's, so a lattice it cannot name is a format error
+        sfile = tmp_path / "s.dat"
+        assert main(["mcmc", "--dims", "2,2", "--beta", "0.4", "--n-configs", "5",
+                     "--out", str(sfile)]) == EXIT_OK
+        sfile.write_text(sfile.read_text().replace(*edit, 1))
+        capsys.readouterr()
+        assert main(["analyze", "--ensemble", str(sfile)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_analyze_unknown_observable(self, tmp_path):
         sfile = tmp_path / "s.dat"

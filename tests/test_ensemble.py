@@ -94,7 +94,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.configs, ens.configs)
 
     def test_beta_repr_roundtrip(self, tmp_path):
-        for beta in (0.7, 0.1, 1e-3, 123.456789012345, math.inf):
+        for beta in (0.7, 0.1, 1e-3, 123.456789012345):
             ens = make_ensemble(beta=beta)
             save(ens, tmp_path / "b.dat")
             assert load(tmp_path / "b.dat").meta.beta == beta
@@ -207,7 +207,7 @@ class TestLoadErrors:
         with pytest.raises(HeaderError):
             load(saved)
 
-    @pytest.mark.parametrize("beta", ["nan", "-2.0"])
+    @pytest.mark.parametrize("beta", ["nan", "-2.0", "inf"])
     def test_invalid_beta(self, saved, beta):
         # the checksum covers the body only, so the edited header keeps a valid one
         saved.write_text(saved.read_text().replace("beta=0.7", f"beta={beta}", 1))
@@ -258,12 +258,11 @@ def reference_blob(ens: Ensemble) -> bytes:
     meta = ens.meta
     tokens = np.where(ens.configs > 0, "+1", "-1")
     body = ("\n".join(" ".join(row) for row in tokens) + "\n").encode("ascii")
-    beta = "inf" if math.isinf(meta.beta) else repr(float(meta.beta))
     header = [
         FORMAT_MAGIC,
         f"dims={','.join(str(d) for d in meta.dims)}",
         f"boundary={meta.boundary.value}",
-        f"beta={beta}",
+        f"beta={float(meta.beta)!r}",
         f"sampler={meta.sampler.value}",
         f"seed={meta.seed}",
         f"n_configs={ens.n_configs}",
@@ -293,7 +292,7 @@ def ensembles(draw):
     meta = EnsembleMeta(
         dims=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))),
         boundary=draw(st.sampled_from(Boundary)),
-        beta=draw(st.one_of(st.floats(0.0, 1e6), st.just(math.inf))),
+        beta=draw(st.floats(0.0, 1e6)),
         sampler=draw(st.sampled_from(Sampler)),
         seed=draw(st.integers(0, 2**63)),
         extra=draw(st.dictionaries(keys, _HEADER_TEXT, max_size=3)),
