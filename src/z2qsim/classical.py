@@ -178,25 +178,65 @@ def _acceptance_table(masks, beta: float):
     )
 
 
-def _run_sweeps(
-    state: int,
-    n_sweeps: int,
-    masks,
-    accept,
-    n_free: int,
-    rng: np.random.Generator,
-) -> int:
-    """n_sweeps full sweeps (n_free single-link updates each) on a bit state."""
-    for _ in range(n_sweeps):
-        qs = rng.integers(0, n_free, size=n_free).tolist()
-        us = rng.random(n_free).tolist()
-        for q, uni in zip(qs, us):
-            k = 0
-            for m in masks[q]:
-                k += (state & m).bit_count() & 1
-            if uni < accept[q][(state >> q) & 1][k]:
-                state ^= 1 << q
-    return state
+_BLOCK_UPDATES = 1 << 14  # single-link updates whose random numbers ``mcmc_run`` draws at once
+
+
+def _lemire_threshold(n: int) -> int:
+    """numpy's rejection bound for a draw in [0, n) from a 32-bit half x:
+    x is rejected when (x * n) mod 2**32 falls below it."""
+    return (1 << 32) % n
+
+
+def _draw_sweeps(rng: np.random.Generator, n_sweeps: int, n_free: int):
+    """The random numbers of ``n_sweeps`` Glauber sweeps, as flat lists (qs, us).
+
+    They equal, value for value, ``n_sweeps`` rounds of
+    ``rng.integers(0, n_free, size=n_free)`` followed by ``rng.random(n_free)``,
+    and ``rng.bit_generator.state`` is left where those calls leave it.  ``rng``
+    is a PCG64 Generator, as ``default_rng`` makes.  numpy draws each bounded
+    integer by Lemire's method from one 32-bit half of a raw word, low half
+    first, and keeps the high half as a spare (``has_uint32``/``uinteger``) that
+    ``random`` leaves alone; for n_free == 1 it draws nothing.  Each double is
+    the top 53 bits of one raw word.  So one ``random_raw`` call covers the
+    block, cut into each sweep's integer words and double words.  If Lemire's
+    method would reject a half (probability below n_free * 2**-32 per draw),
+    the state is restored and the block is drawn with the public calls.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    spare = start["has_uint32"]
+    n_ints = n_sweeps * n_free if n_free > 1 else 0
+    int_words = np.zeros(n_sweeps, dtype=np.int64)
+    if n_ints:
+        # a sweep starts with a spare half when the halves drawn before it are odd
+        pending = (spare + np.arange(n_sweeps, dtype=np.int64) * n_free) % 2
+        int_words = (n_free - pending + 1) // 2
+    counts = np.empty(2 * n_sweeps, dtype=np.int64)
+    counts[0::2] = int_words
+    counts[1::2] = n_free
+    is_int = np.repeat(np.tile([True, False], n_sweeps), counts)
+    raw = bitgen.random_raw(is_int.size)
+    words = raw[is_int]
+    halves = np.empty(spare + 2 * words.size, dtype=np.uint64)
+    halves[:spare] = start["uinteger"]
+    halves[spare::2] = words & 0xFFFFFFFF
+    halves[spare + 1 :: 2] = words >> 32
+    scaled = halves[:n_ints] * np.uint64(n_free)
+    if ((scaled & 0xFFFFFFFF) < _lemire_threshold(n_free)).any():
+        bitgen.state = start
+        qs, us = [], []
+        for _ in range(n_sweeps):
+            qs += rng.integers(0, n_free, size=n_free).tolist()
+            us += rng.random(n_free).tolist()
+        return qs, us
+    if words.size:
+        state = bitgen.state
+        state["has_uint32"] = int(halves.size > n_ints)
+        state["uinteger"] = int(words[-1] >> 32)
+        bitgen.state = state
+    qs = (scaled >> 32).tolist() if n_ints else [0] * n_sweeps
+    us = ((raw[~is_int] >> 11) * 2.0**-53).tolist()
+    return qs, us
 
 
 def _check_count(name: str, value, minimum: int) -> None:
@@ -215,7 +255,14 @@ def mcmc_run(
 ) -> Ensemble:
     """Glauber-chain baseline: n_configs gauge configurations, ``stride``
     sweeps apart, after ``n_therm`` thermalization sweeps from a random start.
-    Bit-identical for a fixed seed."""
+
+    Each sweep makes n_free single-link updates with the links from
+    ``rng.integers(0, n_free, size=n_free)`` and the uniforms from
+    ``rng.random(n_free)``, ``rng = default_rng(seed)``.  ``_draw_sweeps``
+    draws that stream value for value, ``_BLOCK_UPDATES`` updates (at least
+    one sweep) at a time, so the configurations are bit-identical for a fixed
+    seed whatever the block length.
+    """
     Coupling(float(beta))  # finite and >= 0, else ValueError
     _check_count("n_configs", n_configs, 1)
     _check_count("n_therm", n_therm, 0)
@@ -227,11 +274,30 @@ def mcmc_run(
     state = 0
     for q, bit in enumerate(rng.integers(0, 2, size=n_free)):
         state |= int(bit) << q
-    state = _run_sweeps(state, n_therm, masks, accept, n_free, rng)
+    n_configs, n_therm, stride = int(n_configs), int(n_therm), int(stride)
+    n_sweeps = n_therm + n_configs * stride
+    block = max(1, _BLOCK_UPDATES // n_free)  # sweeps per draw
     samples = np.empty(n_configs, dtype=np.uint64)
-    for i in range(n_configs):
-        state = _run_sweeps(state, stride, masks, accept, n_free, rng)
-        samples[i] = state
+    i = 0
+    for done in range(0, n_sweeps, block):
+        n = min(block, n_sweeps - done)
+        qs, us = _draw_sweeps(rng, n, n_free)
+        # offsets into the block's updates after which a configuration is recorded
+        first = (n_therm + (i + 1) * stride - done) * n_free
+        records = range(first, n * n_free + 1, stride * n_free)
+        pos = 0
+        for stop in (*records, None):
+            for q, uni in zip(qs[pos:stop], us[pos:stop]):
+                k = 0
+                for m in masks[q]:
+                    k += (state & m).bit_count() & 1
+                if uni < accept[q][(state >> q) & 1][k]:
+                    state ^= 1 << q
+            if stop is None:
+                break
+            samples[i] = state
+            i += 1
+            pos = stop
     meta = EnsembleMeta(
         dims=lattice.dims,
         boundary=lattice.boundary,

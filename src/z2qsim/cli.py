@@ -17,7 +17,7 @@ import contextlib
 import sys
 
 from . import __version__, classical, ensemble, limits, quantum
-from .lattice import Boundary, build_lattice, gauge_fix
+from .lattice import Boundary, build_lattice, count_links, gauge_fix
 from .quantum import Schedule, StartKind
 
 EXIT_OK = 0
@@ -338,14 +338,15 @@ def run_analyze(args) -> int:
                 f"unknown observable {name!r}; choose from {', '.join(_OBSERVABLE_NAMES)}"
             )
     ens = ensemble.load(args.ensemble)
+    # the header is checked in closed form first: an edited dims= must not
+    # make analyze build a lattice far larger than the body
     try:
-        lattice = build_lattice(ens.meta.dims, ens.meta.boundary)
+        n_links = count_links(ens.meta.dims, ens.meta.boundary)
     except ValueError as exc:
         raise ensemble.HeaderError(f"header names no valid lattice: {exc}") from None
-    if ens.n_links != lattice.n_links:
-        raise ensemble.HeaderError(
-            f"ensemble has {ens.n_links} links but dims imply {lattice.n_links}"
-        )
+    if ens.n_links != n_links:
+        raise ensemble.HeaderError(f"ensemble has {ens.n_links} links but dims imply {n_links}")
+    lattice = build_lattice(ens.meta.dims, ens.meta.boundary)
     beta = ens.meta.beta
     plaq = classical.plaquette_products(ens.configs, lattice)
     rows = []

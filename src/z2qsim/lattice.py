@@ -23,20 +23,39 @@ class Boundary(Enum):
     PERIODIC = "periodic"
 
 
+def _checked_dims(dims, boundary: Boundary) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in dims)
+    if not 2 <= len(dims) <= 4:
+        raise ValueError(f"dimension must be 2..4, got {len(dims)}")
+    if any(d < 2 for d in dims):
+        raise ValueError(f"each extent must be >= 2, got {dims}")
+    if boundary is Boundary.PERIODIC and any(d < 3 for d in dims):
+        # L=2 periodic planes would produce doubled plaquettes sharing
+        # the same link pair; not supported.
+        raise ValueError("periodic boundary requires every extent >= 3")
+    return dims
+
+
+def count_links(dims, boundary: Boundary = Boundary.OPEN) -> int:
+    """``build_lattice(dims, boundary).n_links`` in closed form, without building.
+
+    Open: sum over mu of (d_mu - 1) * prod_{nu != mu} d_nu; periodic: D * prod d.
+    Validates dims and boundary as ``Lattice`` does.
+    """
+    dims = _checked_dims(dims, boundary)
+    n_sites = 1
+    for d in dims:
+        n_sites *= d
+    if boundary is Boundary.PERIODIC:
+        return len(dims) * n_sites
+    return sum(n_sites // d * (d - 1) for d in dims)
+
+
 class Lattice:
     """Immutable hypercubic lattice with link/plaquette/staple incidence."""
 
     def __init__(self, dims, boundary: Boundary = Boundary.OPEN):
-        dims = tuple(int(d) for d in dims)
-        if not 2 <= len(dims) <= 4:
-            raise ValueError(f"dimension must be 2..4, got {len(dims)}")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"each extent must be >= 2, got {dims}")
-        if boundary is Boundary.PERIODIC and any(d < 3 for d in dims):
-            # L=2 periodic planes would produce doubled plaquettes sharing
-            # the same link pair; not supported.
-            raise ValueError("periodic boundary requires every extent >= 3")
-        self.dims = dims
+        self.dims = dims = _checked_dims(dims, boundary)
         self.boundary = boundary
         self.ndim = len(dims)
         self.n_sites = int(np.prod(dims))

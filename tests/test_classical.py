@@ -394,6 +394,57 @@ class TestGlauberChain:
         expected = reference_mcmc_configs(lat, gf, beta, 60, 20, 3, seed)
         np.testing.assert_array_equal(ens.configs, expected)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, "fallback"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("name", ["square2", "square3", "cube2", "torus3", "hypercube"])
+    def test_stream_independent_of_blocks(self, name, seed, block, request, monkeypatch):
+        # blocks of 1, 2 or 3 sweeps cut the records and the thermalization at
+        # every offset; "fallback" makes every block reject and take the public calls
+        _, gf = request.getfixturevalue(name)
+        if block == "fallback":
+            monkeypatch.setattr(classical, "_lemire_threshold", lambda n: 1 << 32)
+        else:
+            monkeypatch.setattr(classical, "_BLOCK_UPDATES", block * gf.n_free)
+        self.test_mcmc_matches_reference_stream(name, 0.7, seed, request)
+
+    @pytest.mark.parametrize("n_sweeps", [1, 2, 7, 40])
+    @pytest.mark.parametrize("spare_draws", [None, 1, 2, 5, 8])
+    @pytest.mark.parametrize("n_free", [1, 2, 3, 16, 17, 55, 1025])
+    def test_draw_sweeps_matches_public_calls(self, n_free, spare_draws, n_sweeps):
+        # an odd integers(0, 2, size=m) leaves a spare half that the block must
+        # use first; the state afterwards includes has_uint32 and uinteger
+        for seed in (0, 5, 2024):
+            block, public = np.random.default_rng(seed), np.random.default_rng(seed)
+            if spare_draws is not None:
+                block.integers(0, 2, size=spare_draws)
+                public.integers(0, 2, size=spare_draws)
+            qs, us = classical._draw_sweeps(block, n_sweeps, n_free)
+            expected_qs, expected_us = [], []
+            for _ in range(n_sweeps):
+                expected_qs += public.integers(0, n_free, size=n_free).tolist()
+                expected_us += public.random(n_free).tolist()
+            assert qs == expected_qs
+            assert us == expected_us
+            assert block.bit_generator.state == public.bit_generator.state
+
+    def test_draw_sweeps_rejection_falls_back(self):
+        # with seed 0, the low half of raw word 1345507 is one Lemire rejects for
+        # n = 1025 (probability ~2.4e-7 per half); start the block 10 words before
+        n_free, word = 1025, 1345507
+        probe = np.random.default_rng(0).bit_generator.advance(word).random_raw()
+        assert ((probe & 0xFFFFFFFF) * n_free) % (1 << 32) < classical._lemire_threshold(n_free)
+        block, public = np.random.default_rng(0), np.random.default_rng(0)
+        block.bit_generator.advance(word - 10)
+        public.bit_generator.advance(word - 10)
+        qs, us = classical._draw_sweeps(block, 2, n_free)
+        expected_qs, expected_us = [], []
+        for _ in range(2):
+            expected_qs += public.integers(0, n_free, size=n_free).tolist()
+            expected_us += public.random(n_free).tolist()
+        assert qs == expected_qs
+        assert us == expected_us
+        assert block.bit_generator.state == public.bit_generator.state
+
     @pytest.mark.parametrize("name", ["cube2", "square3"])
     def test_parent_hamiltonian_is_glauber_generator(self, name, request):
         # H = N_free S (I - P_Glauber) S^-1, so gap(H) = N_free * the chain's gap

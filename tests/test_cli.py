@@ -372,6 +372,22 @@ class TestSampleAndAnalyze:
         assert main(["analyze", "--ensemble", str(sfile)]) == EXIT_IO
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_analyze_oversized_header_builds_nothing(self, tmp_path, monkeypatch, boundary):
+        # dims=1000,1000,1000 names about 3e9 links; the count is compared in
+        # closed form, so the lattice is never built
+        sfile = tmp_path / "s.dat"
+        assert main(["mcmc", "--dims", "2,2", "--beta", "0.4", "--n-configs", "5",
+                     "--out", str(sfile)]) == EXIT_OK
+        text = sfile.read_text().replace("dims=2,2\n", "dims=1000,1000,1000\n", 1)
+        sfile.write_text(text.replace("boundary=open\n", f"boundary={boundary}\n", 1))
+
+        def refuse(*args):
+            raise AssertionError(f"build_lattice{args} was called")
+
+        monkeypatch.setattr("z2qsim.cli.build_lattice", refuse)
+        assert main(["analyze", "--ensemble", str(sfile)]) == EXIT_IO
+
     def test_analyze_unknown_observable(self, tmp_path):
         sfile = tmp_path / "s.dat"
         assert main(["mcmc", "--dims", "2,2", "--beta", "0.4", "--n-configs", "5",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from z2qsim.lattice import Boundary, build_lattice, gauge_fix, staple_masks
+from z2qsim.lattice import Boundary, build_lattice, count_links, gauge_fix, staple_masks
 
 
 def link_endpoints(lat, n):
@@ -56,6 +56,7 @@ class TestCounts:
         lat = build_lattice(dims)
         assert lat.n_sites == int(np.prod(dims))
         assert lat.n_links == open_link_count(dims)
+        assert count_links(dims) == lat.n_links
         assert lat.n_plaquettes == open_plaquette_count(dims)
 
     @pytest.mark.parametrize("dims", [(3, 3), (4, 3), (3, 3, 3)])
@@ -64,6 +65,7 @@ class TestCounts:
         n_sites = int(np.prod(dims))
         d = len(dims)
         assert lat.n_links == d * n_sites
+        assert count_links(dims, Boundary.PERIODIC) == lat.n_links
         assert lat.n_plaquettes == d * (d - 1) // 2 * n_sites
 
     def test_validation(self):
@@ -77,6 +79,20 @@ class TestCounts:
             build_lattice((2, 2), Boundary.PERIODIC)
         with pytest.raises(ValueError):
             build_lattice((3, 0))
+
+    @pytest.mark.parametrize(
+        "dims, boundary",
+        [((4,), Boundary.OPEN), ((2, 2, 2, 2, 2), Boundary.OPEN), ((1, 3), Boundary.OPEN),
+         ((2, 2), Boundary.PERIODIC), ((3, 0), Boundary.OPEN)],
+    )
+    def test_count_links_validation(self, dims, boundary):
+        # count_links refuses exactly what build_lattice refuses
+        with pytest.raises(ValueError):
+            count_links(dims, boundary)
+
+    def test_count_links_of_unbuilt_lattice(self):
+        assert count_links((1000, 1000, 1000)) == 3 * 999 * 1000 * 1000
+        assert count_links((1000, 1000, 1000), Boundary.PERIODIC) == 3 * 10**9
 
 
 class TestGeometry:
