@@ -18,7 +18,7 @@ import numpy as np
 
 from . import limits
 from .ensemble import Ensemble, EnsembleMeta, Sampler
-from .lattice import GaugeFixing, Lattice, staple_masks
+from .lattice import GaugeFixing, Lattice, parity_sum, staple_masks
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,25 @@ def plaquette_products(config, lattice: Lattice) -> np.ndarray:
     return config[..., lattice.plaq_links].prod(axis=-1, dtype=np.int8)
 
 
+_PARITY_BLOCK = 1 << 16  # basis states whose plaquette sums are computed at a time
+
+
+def plaquette_sum_diagonal(lattice: Lattice, gf: GaugeFixing) -> np.ndarray:
+    """Sum of all plaquette products for every basis state, int32 of shape (2**n_free,).
+
+    The basis-index twin of ``plaquette_products(...).sum(axis=-1)``: entry b
+    is the sum on ``gf.decode(b)``, read from bit-mask parities.
+    """
+    limits.check_free_links(gf.n_free, "plaquette diagonal")
+    masks = [gf.bit_mask(quad) for quad in lattice.plaq_links]
+    total = np.empty(1 << gf.n_free, dtype=np.int32)
+    # a block of indices at a time: no uint64 index array over the whole basis
+    for start in range(0, total.size, _PARITY_BLOCK):
+        block = total[start : start + _PARITY_BLOCK]
+        block[:] = parity_sum(np.arange(start, start + block.size, dtype=np.uint64), masks)
+    return total
+
+
 def action(config, lattice: Lattice, beta: float):
     """S = -beta * sum over plaquettes of the four-link product."""
     sums = plaquette_products(config, lattice).sum(axis=-1, dtype=np.int64)
@@ -86,15 +105,7 @@ def staple_sum(config, n: int, lattice: Lattice) -> int:
 # ----- brute-force expectation -----
 
 
-_CHUNK = 1 << 16  # basis states decoded at a time by ``enumerate_basis``
-
-
-def enumerate_basis(gf: GaugeFixing):
-    """Yield (indices, configs) chunks covering all 2**n_free gauge-fixed states."""
-    total = 1 << gf.n_free
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        yield idx, gf.decode(idx)
+_CHUNK = 1 << 16  # basis states weighted, and decoded for an observable, at a time
 
 
 def exact_expectation(
@@ -106,44 +117,37 @@ def exact_expectation(
     """Gibbs average of an observable over all gauge-fixed configurations.
 
     ``observable(configs)`` must return one value per configuration.  When
-    it is None the average is of the mean plaquette, computed from the
-    plaquette sums the Gibbs weights use with ``plaquette_average``'s
-    arithmetic, so it equals the call with that observable bit for bit.
-    ``beta`` is a scalar, giving a float, or a 1-D sequence, giving a list
-    with one value per coupling in the given order.  Each chunk of the basis
-    is decoded, and its plaquette sums and observable values are computed,
-    once for all couplings; every value equals the scalar call bit for bit.
+    it is None the average is of the mean plaquette, read off the plaquette
+    sums with ``plaquette_average``'s arithmetic (the same bits as that
+    call), and nothing is decoded.  ``beta`` is a scalar, giving a float, or
+    a 1-D sequence, giving a list with one value per coupling in the given
+    order; every value equals the scalar call bit for bit.
 
-    Accumulates with a running max-shift of -S per coupling so exp never
-    overflows; the result is independent of chunk size to ~1e-15 relative.
+    The sums come from one ``plaquette_sum_diagonal`` call and are weighted
+    ``_CHUNK`` states at a time, each chunk decoded once for all couplings.
+    The weights are e^{-S - beta n_plaquettes}: state 0 (every link +1) has
+    the largest sum, n_plaquettes, so no weight exceeds 1.  The result is
+    independent of chunk size to ~1e-15 relative.
     """
     scalar = np.ndim(beta) == 0
     betas = [beta] if scalar else list(beta)
     if np.ndim(beta) > 1 or not betas:
         raise ValueError(f"beta must be a number or a non-empty 1-D sequence, got {beta!r}")
-    for b in betas:
-        Coupling(float(b))  # finite and >= 0, else ValueError
-    limits.check_free_links(gf.n_free, "exact_expectation")
-    shift = [-math.inf] * len(betas)  # running max of -S
+    betas = [Coupling(float(b)).beta for b in betas]  # finite and >= 0, else ValueError
+    all_sums = plaquette_sum_diagonal(lattice, gf)  # checks the free-link cap
     z = [0.0] * len(betas)
     oz = [0.0] * len(betas)
-    for _, configs in enumerate_basis(gf):
-        sums = plaquette_products(configs, lattice).sum(axis=-1, dtype=np.int64)
-        vals = sums / lattice.n_plaquettes if observable is None else observable(configs)
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != (len(configs),):
-            raise ValueError(
-                f"observable returned shape {vals.shape}, expected ({len(configs)},)"
-            )
+    for start in range(0, all_sums.size, _CHUNK):
+        sums = all_sums[start : start + _CHUNK]
+        if observable is None:
+            vals = sums / lattice.n_plaquettes
+        else:
+            idx = np.arange(start, start + sums.size, dtype=np.uint64)
+            vals = np.asarray(observable(gf.decode(idx)), dtype=np.float64)
+            if vals.shape != sums.shape:
+                raise ValueError(f"observable returned shape {vals.shape}, expected {sums.shape}")
         for i, b in enumerate(betas):
-            s = -b * sums  # the action, as ``action`` computes it
-            m = float((-s).max())
-            if m > shift[i]:
-                rescale = math.exp(shift[i] - m)
-                z[i] *= rescale
-                oz[i] *= rescale
-                shift[i] = m
-            w = np.exp(-s - shift[i])
+            w = np.exp(b * sums - b * lattice.n_plaquettes)
             z[i] += float(w.sum())
             oz[i] += float((vals * w).sum())
     values = [o / zz for o, zz in zip(oz, z)]
@@ -267,6 +271,7 @@ def mcmc_run(
     _check_count("n_configs", n_configs, 1)
     _check_count("n_therm", n_therm, 0)
     _check_count("stride", stride, 1)
+    limits.check_free_links(gf.n_free, "mcmc_run", cap=limits.CHAIN_STATE_CAP)
     rng = np.random.default_rng(seed)
     masks = staple_masks(lattice, gf)
     accept = _acceptance_table(masks, beta)

@@ -274,3 +274,17 @@ def staple_masks(lattice: Lattice, gf: GaugeFixing) -> tuple[tuple[int, ...], ..
         tuple(gf.bit_mask(staple) for staple in lattice.staple_link_array(link))
         for link in gf.free
     )
+
+
+def parity_sum(indices, masks) -> np.ndarray:
+    """Sum over ``masks`` of (-1)**popcount(indices & mask), int32 per index.
+
+    With ``GaugeFixing.bit_mask`` masks this is, on every basis state in
+    ``indices``, the sum of the link products the masks stand for.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    total = np.zeros(indices.shape, dtype=np.int32)
+    for mask in masks:
+        bits = np.bitwise_count(indices & np.uint64(mask)).astype(np.int8)
+        total += 1 - 2 * (bits & 1)
+    return total

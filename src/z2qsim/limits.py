@@ -2,8 +2,8 @@
 
 The default cap bounds anything that materializes 2**N_free objects
 (brute-force sums, statevectors, diagonals).  The environment variable
-``Z2Q_MAX_FREE_LINKS`` overrides it; the dense-matrix and iterative
-eigensolver caps are fixed API preconditions.
+``Z2Q_MAX_FREE_LINKS`` overrides it; the dense-matrix, iterative
+eigensolver and Markov-chain caps are fixed API preconditions.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ ENV_VAR = "Z2Q_MAX_FREE_LINKS"
 DEFAULT_MAX_FREE_LINKS = 24
 DENSE_HAMILTONIAN_CAP = 12
 EIGENSOLVER_CAP = 20
+CHAIN_STATE_CAP = 64  # the Glauber chain records its states, and decode reads them, as uint64
 
 
 class EnumerationCapError(RuntimeError):
@@ -35,10 +36,9 @@ def max_free_links() -> int:
 
 
 def check_free_links(n_free: int, context: str, cap: int | None = None) -> None:
+    """Refuse n_free above ``cap``, by default the one ``ENV_VAR`` overrides."""
+    hint = ""
     if cap is None:
-        cap = max_free_links()
+        cap, hint = max_free_links(), f" (override with {ENV_VAR})"
     if n_free > cap:
-        raise EnumerationCapError(
-            f"{context}: N_free={n_free} exceeds cap {cap}"
-            f" (override with {ENV_VAR})"
-        )
+        raise EnumerationCapError(f"{context}: N_free={n_free} exceeds cap {cap}{hint}")

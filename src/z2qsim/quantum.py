@@ -40,9 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import limits
-from .classical import Coupling, _check_count
+from .classical import Coupling, _check_count, plaquette_sum_diagonal
 from .ensemble import Ensemble, EnsembleMeta, Sampler
-from .lattice import GaugeFixing, Lattice, staple_masks
+from .lattice import GaugeFixing, Lattice, parity_sum, staple_masks
 
 
 class ConvergenceError(RuntimeError):
@@ -53,34 +53,15 @@ class ConvergenceError(RuntimeError):
         self.eigenvalues = eigenvalues
 
 
-# ----- diagonal observables on the computational basis -----
-
-
-def _parity_signs(indices: np.ndarray, mask: int) -> np.ndarray:
-    bits = np.bitwise_count(indices & np.uint64(mask)).astype(np.int8)
-    return 1 - 2 * (bits & 1)
-
-
-@lru_cache(maxsize=32)
-def _plaquette_masks(lattice: Lattice, gf: GaugeFixing) -> tuple[int, ...]:
-    return tuple(gf.bit_mask(quad) for quad in lattice.plaq_links)
-
-
-def plaquette_sum_diagonal(lattice: Lattice, gf: GaugeFixing) -> np.ndarray:
-    """Sum of all plaquette products for every basis state, shape (2**n_free,)."""
-    limits.check_free_links(gf.n_free, "plaquette diagonal")
-    idx = np.arange(1 << gf.n_free, dtype=np.uint64)
-    total = np.zeros(idx.size, dtype=np.int32)
-    for mask in _plaquette_masks(lattice, gf):
-        total += _parity_signs(idx, mask)
-    return total
+# ----- the analytic zero mode -----
 
 
 def ground_state_reference(lattice: Lattice, gf: GaugeFixing, beta: float) -> np.ndarray:
     """Normalized amplitudes e^{-S/2} / sqrt(Z), the analytic zero mode."""
     Coupling(beta)  # finite and >= 0, else ValueError
     ps = plaquette_sum_diagonal(lattice, gf).astype(np.float64)
-    amps = np.exp(0.5 * beta * (ps - ps.max()))
+    # state 0 (every link +1) has the largest sum, n_plaquettes
+    amps = np.exp(0.5 * beta * (ps - lattice.n_plaquettes))
     return amps / np.linalg.norm(amps)
 
 
@@ -113,14 +94,11 @@ def build_link_terms(lattice: Lattice, gf: GaugeFixing) -> tuple[LinkTerm, ...]:
     """One LinkTerm per free link, ordered by qubit index."""
     limits.check_free_links(gf.n_free, "Hamiltonian terms")
     n = gf.n_free
-    ys = np.arange(1 << (n - 1), dtype=np.uint64) if n > 1 else np.zeros(1, dtype=np.uint64)
+    ys = np.arange(1 << (n - 1), dtype=np.uint64)
     terms = []
     for q, masks in enumerate(staple_masks(lattice, gf)):
-        c = np.zeros(ys.size, dtype=np.int16)
-        for mask in masks:
-            low = mask & ((1 << q) - 1)
-            high = mask >> (q + 1)
-            c += _parity_signs(ys, low | (high << q))
+        low = (1 << q) - 1  # bit q removed: the bits above it move down one
+        c = parity_sum(ys, [(m & low) | ((m >> (q + 1)) << q) for m in masks])
         table = (c + len(masks)).astype(np.int8)
         table.setflags(write=False)
         terms.append(LinkTerm(qubit=q, n_staples=len(masks), n_qubits=n, c_table=table))
@@ -514,20 +492,21 @@ def lowest_eigenvalues(lattice: Lattice, gf: GaugeFixing, beta: float, k: int = 
     preconditioner and a seeded start block, so two calls return the same
     bytes.  The diagonal and the scratch are made once per solve.  A pair
     whose residual exceeds the tolerance raises ``ConvergenceError`` carrying
-    all k values; a k that LOBPCG cannot take (dim - 1 < 5 (k - 1)) raises
-    ``ValueError``.  The values above E0 are certified only to the absolute
-    residual ``_LOBPCG_TOL``: a gap below about 1e-6 is only a variational
-    upper bound.
+    all k values.  A k above the dimension 2**n_free, or one that LOBPCG
+    cannot take (dim - 1 < 5 (k - 1)), raises ``ValueError``.  The values
+    above E0 are certified only to the absolute residual ``_LOBPCG_TOL``: a
+    gap below about 1e-6 is only a variational upper bound.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     coupling = Coupling(beta)
     n = gf.n_free
-    if n <= limits.DENSE_HAMILTONIAN_CAP:
-        h = build_dense_hamiltonian(lattice, gf, beta)
-        return np.linalg.eigvalsh(h)[:k]
-    limits.check_free_links(n, "iterative eigensolver", cap=limits.EIGENSOLVER_CAP)
     dim = 1 << n
+    if n <= limits.DENSE_HAMILTONIAN_CAP:
+        if k > dim:
+            raise ValueError(f"k = {k} is too large for {n} free links: at most {dim}")
+        return np.linalg.eigvalsh(build_dense_hamiltonian(lattice, gf, beta))[:k]
+    limits.check_free_links(n, "iterative eigensolver", cap=limits.EIGENSOLVER_CAP)
     if 5 * (k - 1) > dim - 1:
         raise ValueError(f"k = {k} is too large for {n} free links: at most {1 + (dim - 1) // 5}")
     terms = build_link_terms(lattice, gf)

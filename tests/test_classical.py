@@ -10,7 +10,6 @@ from z2qsim.classical import (
     _acceptance_table,
     action,
     action_density,
-    enumerate_basis,
     exact_expectation,
     flip_probability,
     mcmc_run,
@@ -172,6 +171,15 @@ class TestAction:
         with pytest.raises(ValueError):
             plaquette_products(np.ones(lat.n_links + 1, dtype=np.int8), lat)
 
+    @pytest.mark.parametrize("block", [3, 1 << 16])
+    @pytest.mark.parametrize("name", ["square3", "cube2", "torus3"])
+    def test_plaquette_sum_diagonal_is_decoded_sum(self, name, block, request, monkeypatch):
+        lat, gf = request.getfixturevalue(name)
+        monkeypatch.setattr(classical, "_PARITY_BLOCK", block)
+        configs = gf.decode(np.arange(1 << gf.n_free, dtype=np.uint64))
+        expected = plaquette_products(configs, lat).sum(axis=-1)
+        np.testing.assert_array_equal(classical.plaquette_sum_diagonal(lat, gf), expected)
+
 
 class TestLocalMoves:
     def test_staple_sum_matches_plaquette_identity(self, hypercube):
@@ -268,6 +276,15 @@ class TestExactExpectation:
         with pytest.raises(limits.EnumerationCapError):
             exact_expectation(lat, gf, 0.5, lambda c: plaquette_average(c, lat))
 
+    def test_cap_message_names_the_override(self, hypercube, monkeypatch):
+        lat, gf = hypercube
+        monkeypatch.setenv(limits.ENV_VAR, "10")
+        with pytest.raises(limits.EnumerationCapError) as info:
+            exact_expectation(lat, gf, 0.5)
+        assert str(info.value) == (
+            "plaquette diagonal: N_free=17 exceeds cap 10 (override with Z2Q_MAX_FREE_LINKS)"
+        )
+
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
     @pytest.mark.parametrize("name", ["square3", "cube2", "torus3"])
     def test_beta_grid_equals_scalar_calls(self, name, chunk, request, monkeypatch):
@@ -294,8 +311,8 @@ class TestExactExpectation:
     @pytest.mark.parametrize("name", ["square3", "cube2", "torus3", "hypercube"])
     def test_default_observable_is_mean_plaquette(self, name, chunk, request, monkeypatch):
         """Without an observable the plaquette sums of the weights give the
-        mean plaquette: the same bits as the ``plaquette_average`` call, from
-        one ``plaquette_products`` call per chunk instead of two."""
+        mean plaquette: the same bits as the ``plaquette_average`` call, with
+        no ``plaquette_products`` call at all."""
         lat, gf = request.getfixturevalue(name)
         monkeypatch.setattr(classical, "_CHUNK", chunk)
         betas = [0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 1.2, 1.5]
@@ -308,7 +325,7 @@ class TestExactExpectation:
 
         monkeypatch.setattr(classical, "plaquette_products", counted)
         assert exact_expectation(lat, gf, betas) == expected
-        assert len(calls) == -(-(1 << gf.n_free) // chunk)  # one per chunk
+        assert calls == []  # the sums come from the basis-index parities
 
     @pytest.mark.parametrize(
         "beta", [math.nan, math.inf, -0.5, [0.5, math.nan], [], [[0.5, 0.7]]]
@@ -318,14 +335,20 @@ class TestExactExpectation:
         with pytest.raises(ValueError):
             exact_expectation(lat, gf, beta, lambda c: plaquette_average(c, lat))
 
-    def test_enumerate_basis_covers_space(self, square3, monkeypatch):
-        _, gf = square3
+    def test_observable_sees_decoded_basis_once(self, square3, monkeypatch):
+        lat, gf = square3
         monkeypatch.setattr(classical, "_CHUNK", 5)
         seen = []
-        for idx, configs in enumerate_basis(gf):
-            assert configs.shape == (len(idx), gf.n_links)
-            seen.extend(idx.tolist())
-        assert seen == list(range(1 << gf.n_free))
+
+        def recording(configs):
+            seen.append(configs.copy())
+            return plaquette_average(configs, lat)
+
+        exact_expectation(lat, gf, [0.3, 0.9], recording)
+        assert [len(c) for c in seen] == [5, 5, 5, 1]
+        np.testing.assert_array_equal(
+            np.concatenate(seen), gf.decode(np.arange(1 << gf.n_free, dtype=np.uint64))
+        )
 
 
 class TestFlipProbability:

@@ -176,6 +176,26 @@ class TestMcmc:
     def test_requires_out(self):
         assert main(["mcmc", "--dims", "2,2", "--beta", "0.5"]) == EXIT_USAGE
 
+    def test_more_than_64_free_links_is_cap_error(self, tmp_path, monkeypatch, capsys):
+        # chain states are recorded and decoded as uint64; 4x4x4 has 81 free links
+        def unreachable(*args):
+            raise AssertionError("the cap must be checked before any sweep")
+
+        monkeypatch.setattr(classical, "_draw_sweeps", unreachable)
+        code = main(["mcmc", "--dims", "4,4,4", "--beta", "0.7", "--n-configs", "3",
+                     "--n-therm", "1", "--stride", "1", "--out", str(tmp_path / "x.dat")])
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err == "error: mcmc_run: N_free=81 exceeds cap 64\n"
+        assert not (tmp_path / "x.dat").exists()
+
+    def test_64_free_links_run_and_analyze(self, tmp_path):
+        out = tmp_path / "x.dat"
+        assert main(["mcmc", "--dims", "9,9", "--beta", "0.7", "--n-configs", "3",
+                     "--n-therm", "1", "--stride", "1", "--out", str(out)]) == EXIT_OK
+        ens = ensemble.load(out)
+        assert ens.configs.shape == (3, 144)
+        assert main(["analyze", "--ensemble", str(out), "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+
     def test_rejects_beta_grid(self, tmp_path):
         code = main(["mcmc", "--dims", "2,2", "--beta-grid", "0.5,0.7",
                      "--out", str(tmp_path / "x.dat")])

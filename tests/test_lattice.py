@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from z2qsim.lattice import Boundary, build_lattice, count_links, gauge_fix, staple_masks
+from z2qsim.lattice import (
+    Boundary,
+    build_lattice,
+    count_links,
+    gauge_fix,
+    parity_sum,
+    staple_masks,
+)
 
 
 def link_endpoints(lat, n):
@@ -280,3 +287,15 @@ class TestEncodeDecode:
         idx = np.arange(8, dtype=np.uint64).reshape(2, 4)
         out = gf.decode(idx)
         assert out.shape == (2, 4, gf.n_links)
+
+    @pytest.mark.parametrize("name", ["cube2", "torus3", "hypercube"])
+    def test_parity_sum_is_sum_of_link_products(self, name, request):
+        # masks of the staples of the first free link, summed over the batch
+        lat, gf = request.getfixturevalue(name)
+        staples = lat.staple_link_array(gf.free[0])
+        idx = np.random.default_rng(7).integers(0, 1 << gf.n_free, size=(3, 50), dtype=np.uint64)
+        expected = gf.decode(idx)[..., staples].prod(axis=-1).sum(axis=-1)
+        got = parity_sum(idx, [gf.bit_mask(s) for s in staples])
+        assert got.dtype == np.int32 and got.shape == (3, 50)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(parity_sum(idx, []), 0)

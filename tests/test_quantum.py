@@ -132,11 +132,13 @@ BLOCKING_LATTICES = (
 
 
 class TestDiagonals:
-    def test_ordered_state_plaquette_sum(self, hypercube):
-        lat, gf = hypercube
+    @pytest.mark.parametrize("name", ["square2", "square3", "cube2", "torus3", "hypercube"])
+    def test_ordered_state_plaquette_sum(self, name, request):
+        # exact_expectation and ground_state_reference shift by this maximum
+        lat, gf = request.getfixturevalue(name)
         diag = plaquette_sum_diagonal(lat, gf)
-        assert diag.shape == (1 << 17,)
-        assert diag[0] == 24
+        assert diag.shape == (1 << gf.n_free,)
+        assert diag[0] == lat.n_plaquettes == diag.max()
 
     def test_action_diagonal_examples(self, hypercube):
         lat, gf = hypercube
@@ -283,6 +285,14 @@ class TestDenseHamiltonian:
         lat, gf = hypercube
         with pytest.raises(limits.EnumerationCapError):
             build_dense_hamiltonian(lat, gf, 0.5)
+
+    def test_fixed_cap_message_has_no_override_hint(self, hypercube, monkeypatch):
+        # the environment variable raises the default cap, not this one
+        lat, gf = hypercube
+        monkeypatch.setenv(limits.ENV_VAR, "30")
+        with pytest.raises(limits.EnumerationCapError) as info:
+            build_dense_hamiltonian(lat, gf, 0.5)
+        assert str(info.value) == "dense Hamiltonian: N_free=17 exceeds cap 12"
 
 
 class TestTermEvolution:
@@ -795,6 +805,12 @@ class TestSpectrum:
         lat, gf = hypercube
         with pytest.raises(ValueError, match="at most 26215"):
             lowest_eigenvalues(lat, gf, 0.7, k=30000)
+
+    def test_k_beyond_dense_dimension_rejected(self, square2, no_builders):
+        # one free link: H is 2x2, so two eigenvalues at most
+        lat, gf = square2
+        with pytest.raises(ValueError, match="at most 2"):
+            lowest_eigenvalues(lat, gf, 0.7, k=3)
 
     def test_numpy_integer_k(self, square3):
         lat, gf = square3
