@@ -18,18 +18,20 @@ import numpy as np
 
 from . import limits
 from .ensemble import Ensemble, EnsembleMeta, Sampler
-from .lattice import GaugeFixing, Lattice, parity_sum, staple_masks
+from .lattice import GaugeFixing, Lattice, parity_sum
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Inverse coupling beta = 1/g^2, finite and >= 0."""
+    """Inverse coupling beta = 1/g^2, finite and >= 0, stored as a Python float
+    so that a numpy scalar's precision does not leak into a run."""
 
     beta: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        object.__setattr__(self, "beta", float(self.beta))
 
     def tanh_sech(self, c) -> tuple[np.ndarray, np.ndarray]:
         """(tanh(beta*c), sech(beta*c)) for integer staple sums c.
@@ -170,15 +172,29 @@ def flip_probability(u: int, c: int, beta: float) -> float:
     return 1.0 / (1.0 + math.exp(ds))
 
 
-def _acceptance_table(masks, beta: float):
-    """``accept[q][bit][k]``: flip probability of free link q holding ``bit``
-    with k of its ``len(masks[q])`` staples odd, i.e. staple sum C = len - 2k."""
+def _plaquettes_through(lattice: Lattice, gf: GaugeFixing) -> list[int]:
+    """Per free link q: the mask with bit p set for every plaquette p through it."""
+    plaq_of = [0] * gf.n_free
+    for p, quad in enumerate(lattice.plaq_links):
+        for link in quad:
+            q = gf.qubit_of.get(int(link))
+            if q is not None:
+                plaq_of[q] |= 1 << p
+    return plaq_of
+
+
+def _acceptance_table(plaq_of, beta: float):
+    """``accept[q][j]``: flip probability of free link q with j of the n_q
+    plaquettes through it frustrated (product -1).
+
+    The link's value u times its staple sum C is the sum of those plaquettes,
+    n_q - 2j, and ``flip_probability`` reads u and C only as ``2.0*beta*u*c``,
+    which a sign change leaves exact: the entry is the same float as
+    ``flip_probability(u, C, beta)``.
+    """
     return tuple(
-        tuple(
-            tuple(flip_probability(1 - 2 * bit, len(m) - 2 * k, beta) for k in range(len(m) + 1))
-            for bit in (0, 1)
-        )
-        for m in masks
+        tuple(flip_probability(1, m.bit_count() - 2 * j, beta) for j in range(m.bit_count() + 1))
+        for m in plaq_of
     )
 
 
@@ -266,19 +282,28 @@ def mcmc_run(
     draws that stream value for value, ``_BLOCK_UPDATES`` updates (at least
     one sweep) at a time, so the configurations are bit-identical for a fixed
     seed whatever the block length.
+
+    The chain keeps a register of frustrated plaquettes beside the state.  An
+    update of link q counts the frustrated plaquettes through it with one
+    popcount, looks its flip probability up in ``_acceptance_table``, and an
+    accepted flip toggles the link's bit and its plaquettes' bits.
     """
-    Coupling(float(beta))  # finite and >= 0, else ValueError
+    beta = Coupling(beta).beta  # finite and >= 0, else ValueError
     _check_count("n_configs", n_configs, 1)
     _check_count("n_therm", n_therm, 0)
     _check_count("stride", stride, 1)
     limits.check_free_links(gf.n_free, "mcmc_run", cap=limits.CHAIN_STATE_CAP)
     rng = np.random.default_rng(seed)
-    masks = staple_masks(lattice, gf)
-    accept = _acceptance_table(masks, beta)
+    plaq_of = _plaquettes_through(lattice, gf)
+    accept = _acceptance_table(plaq_of, beta)
     n_free = gf.n_free
     state = 0
     for q, bit in enumerate(rng.integers(0, 2, size=n_free)):
         state |= int(bit) << q
+    # bit p set while plaquette p is frustrated; a Python int, so no word limit
+    frustrated = 0
+    for p, quad in enumerate(lattice.plaq_links):
+        frustrated |= ((state & gf.bit_mask(quad)).bit_count() & 1) << p
     n_configs, n_therm, stride = int(n_configs), int(n_therm), int(stride)
     n_sweeps = n_therm + n_configs * stride
     block = max(1, _BLOCK_UPDATES // n_free)  # sweeps per draw
@@ -293,11 +318,10 @@ def mcmc_run(
         pos = 0
         for stop in (*records, None):
             for q, uni in zip(qs[pos:stop], us[pos:stop]):
-                k = 0
-                for m in masks[q]:
-                    k += (state & m).bit_count() & 1
-                if uni < accept[q][(state >> q) & 1][k]:
+                m = plaq_of[q]
+                if uni < accept[q][(frustrated & m).bit_count()]:
                     state ^= 1 << q
+                    frustrated ^= m
             if stop is None:
                 break
             samples[i] = state

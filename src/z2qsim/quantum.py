@@ -58,7 +58,7 @@ class ConvergenceError(RuntimeError):
 
 def ground_state_reference(lattice: Lattice, gf: GaugeFixing, beta: float) -> np.ndarray:
     """Normalized amplitudes e^{-S/2} / sqrt(Z), the analytic zero mode."""
-    Coupling(beta)  # finite and >= 0, else ValueError
+    beta = Coupling(beta).beta  # finite and >= 0, else ValueError
     ps = plaquette_sum_diagonal(lattice, gf).astype(np.float64)
     # state 0 (every link +1) has the largest sum, n_plaquettes
     amps = np.exp(0.5 * beta * (ps - lattice.n_plaquettes))
@@ -366,7 +366,8 @@ class Schedule:
     dt: float = 0.2
 
     def __post_init__(self):
-        Coupling(self.beta_target)  # finite and >= 0, else ValueError
+        # finite and >= 0, else ValueError; a float, so every ramp point is one
+        object.__setattr__(self, "beta_target", Coupling(self.beta_target).beta)
         for name in ("total_time", "dt"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
@@ -429,7 +430,7 @@ def sample_configs(
     """Projectively measure every qubit ``n_shots`` times; returns the decoded
     gauge configurations as a quantum-sampler ensemble."""
     _check_count("n_shots", n_shots, 1)
-    Coupling(beta)  # finite and >= 0, else ValueError
+    beta = Coupling(beta).beta  # finite and >= 0, else ValueError
     # |psi|^2, its normalisation and the CDF share one float64 buffer
     cdf = np.abs(np.asarray(state, dtype=np.complex128))
     if cdf.shape != (1 << gf.n_free,):

@@ -36,3 +36,10 @@ def torus3():
     """3x3 periodic square."""
     lat = build_lattice((3, 3), Boundary.PERIODIC)
     return lat, gauge_fix(lat)
+
+
+@pytest.fixture(scope="session")
+def torus333():
+    """3x3x3 periodic cube: 81 links, 81 plaquettes, 55 free links."""
+    lat = build_lattice((3, 3, 3), Boundary.PERIODIC)
+    return lat, gauge_fix(lat)

@@ -118,6 +118,11 @@ class TestCoupling:
         np.testing.assert_allclose(t, [-1.0, 1.0])
         np.testing.assert_allclose(s, [0.0, 0.0])
 
+    def test_beta_stored_as_float(self):
+        c = Coupling(np.float32(0.7))
+        assert type(c.beta) is float
+        assert c.beta == float(np.float32(0.7))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Coupling(-0.1)
@@ -392,25 +397,29 @@ class TestFlipProbability:
 class TestGlauberChain:
     @pytest.mark.parametrize("name", ["square3", "cube2", "torus3", "hypercube"])
     def test_staple_sum_bits_match_staple_sum(self, name, request):
-        # the entry the chain reads, indexed by the link's bit and its count of
-        # odd staples, is the flip probability of the decoded configuration
+        # the entry the chain reads, indexed by the number j of frustrated
+        # plaquettes through the link, is the flip probability of the decoded
+        # configuration
         lat, gf = request.getfixturevalue(name)
-        masks = staple_masks(lat, gf)
+        plaq_of = classical._plaquettes_through(lat, gf)
         rng = np.random.default_rng(13)
         for beta in (0.0, 0.7, 9.0):
-            accept = _acceptance_table(masks, beta)
+            accept = _acceptance_table(plaq_of, beta)
             for state in rng.integers(0, 1 << gf.n_free, size=20):
-                state = int(state)
-                config = gf.decode(state)
+                config = gf.decode(int(state))
+                frustrated = plaquette_products(config, lat) == -1
                 for q, link in enumerate(gf.free):
-                    k = sum((state & m).bit_count() & 1 for m in masks[q])
+                    j = int(frustrated[(lat.plaq_links == link).any(axis=1)].sum())
                     c = staple_sum(config, link, lat)
                     expected = flip_probability(int(config[link]), c, beta)
-                    assert accept[q][(state >> q) & 1][k] == expected
+                    assert accept[q][j] == expected
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("beta", [0.0, 0.7, 9.0])
-    @pytest.mark.parametrize("name", ["square2", "square3", "cube2", "torus3", "hypercube"])
+    @pytest.mark.parametrize(
+        # torus333's 81-plaquette register does not fit a machine word
+        "name", ["square2", "square3", "cube2", "torus3", "hypercube", "torus333"]
+    )
     def test_mcmc_matches_reference_stream(self, name, beta, seed, request):
         lat, gf = request.getfixturevalue(name)
         ens = mcmc_run(lat, gf, beta, n_configs=60, n_therm=20, stride=3, seed=seed)
@@ -419,7 +428,9 @@ class TestGlauberChain:
 
     @pytest.mark.parametrize("block", [1, 2, 3, "fallback"])
     @pytest.mark.parametrize("seed", [3, 11])
-    @pytest.mark.parametrize("name", ["square2", "square3", "cube2", "torus3", "hypercube"])
+    @pytest.mark.parametrize(
+        "name", ["square2", "square3", "cube2", "torus3", "hypercube", "torus333"]
+    )
     def test_stream_independent_of_blocks(self, name, seed, block, request, monkeypatch):
         # blocks of 1, 2 or 3 sweeps cut the records and the thermalization at
         # every offset; "fallback" makes every block reject and take the public calls
@@ -482,6 +493,14 @@ class TestGlauberChain:
         gap = {"cube2": 0.304690, "square3": 0.446817}[name]
         spectrum = np.linalg.eigvalsh(glauber_generator(lat, gf, 0.8))
         assert spectrum[1] == pytest.approx(gap, abs=1e-6)
+
+    def test_numpy_beta_runs_as_its_float(self, square3):
+        # the header records float(beta); the chain must run on that same value
+        lat, gf = square3
+        a = mcmc_run(lat, gf, np.float32(0.7), n_configs=200, n_therm=10, stride=2, seed=5)
+        b = mcmc_run(lat, gf, float(np.float32(0.7)), n_configs=200, n_therm=10, stride=2, seed=5)
+        assert type(a.meta.beta) is float and a.meta.beta == b.meta.beta
+        assert a.configs.tobytes() == b.configs.tobytes()
 
     def test_mcmc_reproducible(self, square3):
         lat, gf = square3

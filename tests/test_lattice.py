@@ -1,6 +1,13 @@
+import itertools
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from z2qsim.classical import plaquette_products
 from z2qsim.lattice import (
     Boundary,
     build_lattice,
@@ -9,6 +16,25 @@ from z2qsim.lattice import (
     parity_sum,
     staple_masks,
 )
+
+
+# Every D = 2..4 lattice with extents up to 5 and at most 24 free links (a
+# spanning tree fixes n_sites - 1 links).  Periodic lattices need extents >= 3,
+# so only D = 2 ones stay under 24.
+SMALL_LATTICES = [
+    (dims, boundary)
+    for boundary in Boundary
+    for ndim in (2, 3, 4)
+    for dims in itertools.product(range(2, 6), repeat=ndim)
+    if boundary is Boundary.OPEN or min(dims) >= 3
+    if count_links(dims, boundary) - math.prod(dims) + 1 <= 24
+]
+
+
+@lru_cache(maxsize=None)
+def small_lattice(dims, boundary):
+    lat = build_lattice(dims, boundary)
+    return lat, gauge_fix(lat)
 
 
 def link_endpoints(lat, n):
@@ -287,6 +313,24 @@ class TestEncodeDecode:
         idx = np.arange(8, dtype=np.uint64).reshape(2, 4)
         out = gf.decode(idx)
         assert out.shape == (2, 4, gf.n_links)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # D first, so the one D = 4 lattice is not drawn 1 time in 44
+        shape=st.sampled_from((2, 3, 4)).flatmap(
+            lambda ndim: st.sampled_from([s for s in SMALL_LATTICES if len(s[0]) == ndim])
+        ),
+        data=st.data(),
+    )
+    def test_decode_round_trip(self, shape, data):
+        # plaquette products of the decoded configuration are the bit-mask
+        # parities, and the free links read back as bits give the index
+        lat, gf = small_lattice(*shape)
+        b = data.draw(st.integers(0, (1 << gf.n_free) - 1), label="b")
+        config = gf.decode(b)
+        parities = [(b & gf.bit_mask(quad)).bit_count() & 1 for quad in lat.plaq_links]
+        np.testing.assert_array_equal(plaquette_products(config, lat), 1 - 2 * np.array(parities))
+        assert sum(int(config[link] < 0) << q for q, link in enumerate(gf.free)) == b
 
     @pytest.mark.parametrize("name", ["cube2", "torus3", "hypercube"])
     def test_parity_sum_is_sum_of_link_products(self, name, request):

@@ -9,6 +9,8 @@ from scipy.linalg import expm
 from z2qsim import limits, quantum
 from z2qsim.classical import (
     Coupling,
+    _acceptance_table,
+    _plaquettes_through,
     action,
     exact_expectation,
     flip_probability,
@@ -496,18 +498,22 @@ class TestPauliHamiltonian:
             assert np.abs(apply_hamiltonian(ref, terms, Coupling(beta))).max() < 1e-12
 
     @pytest.mark.parametrize("beta", [0.7, 9.0])
-    def test_diagonal_is_glauber_escape_rate(self, cube2, beta):
-        """D[b] is the rate at which the heat-bath chain leaves b: the sum of
-        every free link's flip probability."""
-        lat, gf = cube2
-        diagonal = quantum._hamiltonian_diagonal(build_link_terms(lat, gf), Coupling(beta))
-        for b in range(1 << gf.n_free):
-            config = gf.decode(b)
-            expected = sum(
-                flip_probability(int(config[link]), staple_sum(config, link, lat), beta)
-                for link in gf.free
-            )
-            assert diagonal[b] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    def test_diagonal_is_glauber_escape_rate(self, beta, request):
+        """D[b] is the rate at which the heat-bath chain leaves b: the sum over
+        free links of the chain's own flip probability, ``accept[q][j]`` with j
+        the frustrated plaquettes through the link, on every basis state."""
+        for name in ("cube2", "hypercube"):
+            lat, gf = request.getfixturevalue(name)
+            diagonal = quantum._hamiltonian_diagonal(build_link_terms(lat, gf), Coupling(beta))
+            accept = _acceptance_table(_plaquettes_through(lat, gf), beta)
+            configs = gf.decode(np.arange(1 << gf.n_free, dtype=np.uint64))
+            expected = np.zeros(1 << gf.n_free)
+            for q, link in enumerate(gf.free):
+                staples = lat.staple_link_array(link)
+                # u C = the sum of the plaquettes through the link = n_q - 2 j
+                uc = configs[:, link] * configs[:, staples].prod(axis=-1).sum(axis=-1)
+                expected += np.asarray(accept[q])[(len(staples) - uc) // 2]
+            np.testing.assert_allclose(diagonal, expected, rtol=1e-12, atol=0.0)
 
 
 class TestSchedule:
@@ -543,6 +549,23 @@ class TestSchedule:
                 Schedule(StartKind.HOT, beta_target=0.7, total_time=bad)
             with pytest.raises(ValueError):
                 Schedule(StartKind.HOT, beta_target=0.7, total_time=5.0, dt=bad)
+
+    def test_numpy_beta_ramps_as_its_float(self, square3):
+        # the ensemble header records float(beta); the ramp must use that value
+        lat, gf = square3
+        ramps = [
+            Schedule(start, beta, total_time=2.0)
+            for start in StartKind
+            for beta in (np.float32(0.7), float(np.float32(0.7)))
+        ]
+        for numpy_beta, python_beta in zip(ramps[0::2], ramps[1::2]):
+            coupling = numpy_beta.coupling_at(3)
+            assert type(coupling.beta) is float
+            assert coupling == python_beta.coupling_at(3)
+            assert (
+                adiabatic_evolve(lat, gf, numpy_beta).tobytes()
+                == adiabatic_evolve(lat, gf, python_beta).tobytes()
+            )
 
     def test_initial_states(self):
         hot = initial_state(3, StartKind.HOT)
