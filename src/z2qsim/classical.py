@@ -18,7 +18,7 @@ import numpy as np
 
 from . import limits
 from .ensemble import Ensemble, EnsembleMeta, Sampler
-from .lattice import GaugeFixing, Lattice, parity_sum
+from .lattice import GaugeFixing, Lattice, parity_sum, plaquette_masks
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def plaquette_sum_diagonal(lattice: Lattice, gf: GaugeFixing) -> np.ndarray:
     is the sum on ``gf.decode(b)``, read from bit-mask parities.
     """
     limits.check_free_links(gf.n_free, "plaquette diagonal")
-    masks = [gf.bit_mask(quad) for quad in lattice.plaq_links]
+    masks = plaquette_masks(lattice, gf)
     total = np.empty(1 << gf.n_free, dtype=np.int32)
     # a block of indices at a time: no uint64 index array over the whole basis
     for start in range(0, total.size, _PARITY_BLOCK):
@@ -78,30 +78,10 @@ def plaquette_sum_diagonal(lattice: Lattice, gf: GaugeFixing) -> np.ndarray:
     return total
 
 
-def action(config, lattice: Lattice, beta: float):
-    """S = -beta * sum over plaquettes of the four-link product."""
-    sums = plaquette_products(config, lattice).sum(axis=-1, dtype=np.int64)
-    return -beta * sums
-
-
 def plaquette_average(config, lattice: Lattice):
     """Mean plaquette value, in [-1, 1]."""
     sums = plaquette_products(config, lattice).sum(axis=-1, dtype=np.int64)
     return sums / lattice.n_plaquettes
-
-
-def action_density(config, lattice: Lattice, beta: float):
-    """Action per plaquette: S / n_plaquettes."""
-    return action(config, lattice, beta) / lattice.n_plaquettes
-
-
-def staple_sum(config, n: int, lattice: Lattice) -> int:
-    """C_n: sum over staples of link n of their three-link products."""
-    config = np.asarray(config)
-    staples = lattice.staple_link_array(n)
-    if staples.shape[0] == 0:
-        return 0
-    return int(config[staples].prod(axis=1).sum())
 
 
 # ----- brute-force expectation -----
@@ -170,17 +150,6 @@ def flip_probability(u: int, c: int, beta: float) -> float:
         e = math.exp(-ds)
         return e / (1.0 + e)
     return 1.0 / (1.0 + math.exp(ds))
-
-
-def _plaquettes_through(lattice: Lattice, gf: GaugeFixing) -> list[int]:
-    """Per free link q: the mask with bit p set for every plaquette p through it."""
-    plaq_of = [0] * gf.n_free
-    for p, quad in enumerate(lattice.plaq_links):
-        for link in quad:
-            q = gf.qubit_of.get(int(link))
-            if q is not None:
-                plaq_of[q] |= 1 << p
-    return plaq_of
 
 
 def _acceptance_table(plaq_of, beta: float):
@@ -294,16 +263,16 @@ def mcmc_run(
     _check_count("stride", stride, 1)
     limits.check_free_links(gf.n_free, "mcmc_run", cap=limits.CHAIN_STATE_CAP)
     rng = np.random.default_rng(seed)
-    plaq_of = _plaquettes_through(lattice, gf)
+    # per free link: bit p set for every plaquette p through it
+    plaq_of = [sum(1 << p for p in lattice.plaquettes_of(link)) for link in gf.free]
     accept = _acceptance_table(plaq_of, beta)
     n_free = gf.n_free
     state = 0
     for q, bit in enumerate(rng.integers(0, 2, size=n_free)):
         state |= int(bit) << q
     # bit p set while plaquette p is frustrated; a Python int, so no word limit
-    frustrated = 0
-    for p, quad in enumerate(lattice.plaq_links):
-        frustrated |= ((state & gf.bit_mask(quad)).bit_count() & 1) << p
+    masks = plaquette_masks(lattice, gf)
+    frustrated = sum(((state & m).bit_count() & 1) << p for p, m in enumerate(masks))
     n_configs, n_therm, stride = int(n_configs), int(n_therm), int(stride)
     n_sweeps = n_therm + n_configs * stride
     block = max(1, _BLOCK_UPDATES // n_free)  # sweeps per draw

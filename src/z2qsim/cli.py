@@ -7,7 +7,7 @@ file), ``analyze`` (estimates from a stored ensemble).
 
 All tabular output is CSV with a reproducibility header of ``# key=value``
 lines.  Exit codes: 0 success, 2 usage or validation error, 3 enumeration
-cap exceeded, 4 I/O or file-format error, 5 numerical non-convergence.
+cap exceeded, 4 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_IO = 4
-EXIT_NOCONV = 5
 
 _PRESETS = {"hypercube": ((2, 2, 2, 2), Boundary.OPEN)}
 _OBSERVABLE_NAMES = ("plaquette", "action-density", "per-plaquette")
@@ -371,8 +370,9 @@ def run_analyze(args) -> int:
 
 def _observable_columns(name, plaq, beta):
     """(label, per-configuration values) pairs of one observable name, read off
-    the plaquette table with the arithmetic of ``classical.plaquette_average``
-    and ``classical.action_density``."""
+    the plaquette table: with s the sum of a configuration's plaquettes and
+    N_p their number, the mean plaquette is s / N_p (the arithmetic of
+    ``classical.plaquette_average``) and the action density -beta * s / N_p."""
     n_plaquettes = plaq.shape[-1]
     if name == "per-plaquette":
         return [(f"plaquette[{i}]", plaq[:, i]) for i in range(n_plaquettes)]
@@ -408,9 +408,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except quantum.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,10 +10,11 @@ safe to share read-only across threads.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,11 @@ class Boundary(Enum):
 
 
 def _checked_dims(dims, boundary: Boundary) -> tuple[int, ...]:
+    if not isinstance(boundary, Boundary):
+        raise ValueError(f"boundary must be a Boundary, got {boundary!r}")
+    dims = tuple(dims)
+    if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
+        raise ValueError(f"extents must be integers, got {dims!r}")
     dims = tuple(int(d) for d in dims)
     if not 2 <= len(dims) <= 4:
         raise ValueError(f"dimension must be 2..4, got {len(dims)}")
@@ -52,7 +58,7 @@ def count_links(dims, boundary: Boundary = Boundary.OPEN) -> int:
 
 
 class Lattice:
-    """Immutable hypercubic lattice with link/plaquette/staple incidence."""
+    """Immutable hypercubic lattice with link/plaquette incidence."""
 
     def __init__(self, dims, boundary: Boundary = Boundary.OPEN):
         self.dims = dims = _checked_dims(dims, boundary)
@@ -68,7 +74,7 @@ class Lattice:
 
         self._build_links()
         self._build_plaquettes()
-        for arr in (self._link_of, self._link_site_dir, self.plaq_links):
+        for arr in (self._link_of, self.plaq_links):
             arr.flags.writeable = False
 
     # ----- sites -----
@@ -97,7 +103,7 @@ class Lattice:
 
     def _build_links(self) -> None:
         link_of = np.full((self.n_sites, self.ndim), -1, dtype=np.int32)
-        site_dir = []
+        n_links = 0
         for site in range(self.n_sites):
             coords = self.site_coords(site)
             for mu in range(self.ndim):
@@ -106,15 +112,10 @@ class Lattice:
                     and coords[mu] + 1 >= self.dims[mu]
                 ):
                     continue
-                link_of[site, mu] = len(site_dir)
-                site_dir.append((site, mu))
+                link_of[site, mu] = n_links
+                n_links += 1
         self._link_of = link_of
-        self._link_site_dir = np.asarray(site_dir, dtype=np.int32)
-        self.n_links = len(site_dir)
-
-    def link_site_dir(self, n: int) -> tuple[int, int]:
-        site, mu = self._link_site_dir[n]
-        return int(site), int(mu)
+        self.n_links = n_links
 
     def incident_links(self, site: int) -> list[tuple[int, int]]:
         """(link index, site at the other end) pairs, ascending by link index."""
@@ -131,7 +132,7 @@ class Lattice:
         out.sort()
         return out
 
-    # ----- plaquettes and staples -----
+    # ----- plaquettes -----
 
     def _build_plaquettes(self) -> None:
         rows: list[tuple[int, int, int, int]] = []
@@ -160,25 +161,11 @@ class Lattice:
                 link_plaqs[l].append(p)
         self._link_plaqs = tuple(tuple(ps) for ps in link_plaqs)
 
-    @cached_property
-    def _staple_arrays(self) -> tuple[np.ndarray, ...]:
-        arrs = []
-        for n, plaqs in enumerate(self._link_plaqs):
-            quads = self.plaq_links[list(plaqs)]
-            a = quads[quads != n].reshape(len(plaqs), 3)
-            a.flags.writeable = False
-            arrs.append(a)
-        return tuple(arrs)
-
-    def staple_link_array(self, n: int) -> np.ndarray:
-        """Staple links of link n as a read-only (n_staples, 3) index array.
-
-        One row per plaquette containing link n: the plaquette's other three
-        links, in plaquette order.
-        """
-        if not 0 <= n < self.n_links:
-            raise IndexError(f"link index {n} out of range")
-        return self._staple_arrays[n]
+    def plaquettes_of(self, link: int) -> tuple[int, ...]:
+        """Indices of the plaquettes containing ``link``, ascending."""
+        if not 0 <= link < self.n_links:
+            raise IndexError(f"link index {link} out of range")
+        return self._link_plaqs[link]
 
     def __repr__(self) -> str:
         return (
@@ -263,17 +250,11 @@ def gauge_fix(lattice: Lattice) -> GaugeFixing:
     return GaugeFixing(fixed=tuple(fixed), free=free, n_links=lattice.n_links)
 
 
-@lru_cache(maxsize=32)
-def staple_masks(lattice: Lattice, gf: GaugeFixing) -> tuple[tuple[int, ...], ...]:
-    """Per free qubit: the ``gf.bit_mask`` of each staple of its link.
-
-    A staple's product on basis state b is (-1)**popcount(b & mask); a mask
-    of 0 (all three links fixed) gives the constant +1.
-    """
-    return tuple(
-        tuple(gf.bit_mask(staple) for staple in lattice.staple_link_array(link))
-        for link in gf.free
-    )
+def plaquette_masks(lattice: Lattice, gf: GaugeFixing) -> list[int]:
+    """``gf.bit_mask`` of every plaquette: plaquette p's product on basis state
+    b is (-1)**popcount(b & masks[p]).  With bit q removed, the masks of the
+    plaquettes through free link q are those of its staples."""
+    return [gf.bit_mask(quad) for quad in lattice.plaq_links]
 
 
 def parity_sum(indices, masks) -> np.ndarray:

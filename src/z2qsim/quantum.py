@@ -40,9 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import limits
-from .classical import Coupling, _check_count, plaquette_sum_diagonal
+from .classical import Coupling, _check_count, plaquette_products, plaquette_sum_diagonal
 from .ensemble import Ensemble, EnsembleMeta, Sampler
-from .lattice import GaugeFixing, Lattice, parity_sum, staple_masks
+from .lattice import GaugeFixing, Lattice, parity_sum, plaquette_masks
 
 
 class ConvergenceError(RuntimeError):
@@ -95,13 +95,15 @@ def build_link_terms(lattice: Lattice, gf: GaugeFixing) -> tuple[LinkTerm, ...]:
     limits.check_free_links(gf.n_free, "Hamiltonian terms")
     n = gf.n_free
     ys = np.arange(1 << (n - 1), dtype=np.uint64)
+    masks = plaquette_masks(lattice, gf)
     terms = []
-    for q, masks in enumerate(staple_masks(lattice, gf)):
-        low = (1 << q) - 1  # bit q removed: the bits above it move down one
-        c = parity_sum(ys, [(m & low) | ((m >> (q + 1)) << q) for m in masks])
-        table = (c + len(masks)).astype(np.int8)
+    for q, link in enumerate(gf.free):
+        staples = [masks[p] for p in lattice.plaquettes_of(link)]
+        low = (1 << q) - 1  # removing bit q leaves the staples; the bits above it move down one
+        c = parity_sum(ys, [(m & low) | ((m >> (q + 1)) << q) for m in staples])
+        table = (c + len(staples)).astype(np.int8)
         table.setflags(write=False)
-        terms.append(LinkTerm(qubit=q, n_staples=len(masks), n_qubits=n, c_table=table))
+        terms.append(LinkTerm(qubit=q, n_staples=len(staples), n_qubits=n, c_table=table))
     return tuple(terms)
 
 
@@ -323,8 +325,9 @@ def apply_hamiltonian(
 def build_dense_hamiltonian(lattice: Lattice, gf: GaugeFixing, beta: float) -> np.ndarray:
     """Dense real-symmetric matrix of the full Hamiltonian (small systems only).
 
-    Built link by link from the Pauli form, independently of the fast
-    term-application path, so the two can be checked against each other.
+    Built link by link from the Pauli form, with C_n = U_n * (sum of the
+    plaquettes through link n) on decoded configurations: independently of the
+    bit masks and the fast term-application path, so they can be checked.
     """
     limits.check_free_links(gf.n_free, "dense Hamiltonian", cap=limits.DENSE_HAMILTONIAN_CAP)
     coupling = Coupling(beta)
@@ -332,9 +335,10 @@ def build_dense_hamiltonian(lattice: Lattice, gf: GaugeFixing, beta: float) -> n
     dim = 1 << n
     idx = np.arange(dim)
     configs = gf.decode(idx)
+    plaquettes = plaquette_products(configs, lattice)
     h = np.zeros((dim, dim))
     for q, link in enumerate(gf.free):
-        c = configs[:, lattice.staple_link_array(link)].prod(axis=-1).sum(axis=-1)
+        c = configs[:, link] * plaquettes[:, lattice.plaquettes_of(link)].sum(axis=-1)
         t, s = coupling.tanh_sech(c)
         z = 1 - 2 * ((idx >> q) & 1)
         h[idx, idx] += 0.5 * (1.0 - t * z)

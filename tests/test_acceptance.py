@@ -27,7 +27,7 @@ from z2qsim import (
     sample_configs,
 )
 from z2qsim import ensemble as ens_io
-from z2qsim.classical import action, flip_probability, staple_sum
+from z2qsim.classical import flip_probability
 from z2qsim.ensemble import Ensemble, EstimateMethod
 from z2qsim.lattice import Boundary
 from z2qsim.quantum import (
@@ -38,6 +38,7 @@ from z2qsim.quantum import (
     expectation_plaquette,
     ground_state_reference,
 )
+from oracles import action, staple_sum
 
 BETA = 0.7
 DT = 0.2

@@ -8,18 +8,16 @@ from z2qsim import classical, limits
 from z2qsim.classical import (
     Coupling,
     _acceptance_table,
-    action,
-    action_density,
     exact_expectation,
     flip_probability,
     mcmc_run,
     plaquette_average,
     plaquette_products,
-    staple_sum,
 )
 from z2qsim.ensemble import Sampler
-from z2qsim.lattice import build_lattice, gauge_fix, staple_masks
+from z2qsim.lattice import build_lattice, gauge_fix
 from z2qsim.quantum import build_dense_hamiltonian
+from oracles import action, action_density, plaquette_bits, staple_links, staple_sum
 
 
 def naive_expectation(lattice, beta, observable):
@@ -62,7 +60,7 @@ def reference_run_sweeps(state, n_sweeps, masks, n_free, beta, rng):
 def reference_mcmc_configs(lattice, gf, beta, n_configs, n_therm, stride, seed):
     """``mcmc_run``'s configurations, drawn through ``reference_run_sweeps``."""
     rng = np.random.default_rng(seed)
-    masks = staple_masks(lattice, gf)
+    masks = [[gf.bit_mask(st) for st in staple_links(lattice, link)] for link in gf.free]
     state = 0
     for q, bit in enumerate(rng.integers(0, 2, size=gf.n_free)):
         state |= int(bit) << q
@@ -194,7 +192,7 @@ class TestLocalMoves:
             prods = plaquette_products(config, lat)
             for n in rng.integers(0, lat.n_links, size=8):
                 n = int(n)
-                local = prods[list(lat._link_plaqs[n])].sum()
+                local = prods[list(lat.plaquettes_of(n))].sum()
                 assert config[n] * staple_sum(config, n, lat) == local
 
     def test_delta_action_matches_brute_force(self, cube2):
@@ -401,7 +399,7 @@ class TestGlauberChain:
         # plaquettes through the link, is the flip probability of the decoded
         # configuration
         lat, gf = request.getfixturevalue(name)
-        plaq_of = classical._plaquettes_through(lat, gf)
+        plaq_of = plaquette_bits(lat, gf)
         rng = np.random.default_rng(13)
         for beta in (0.0, 0.7, 9.0):
             accept = _acceptance_table(plaq_of, beta)

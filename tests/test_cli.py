@@ -14,6 +14,7 @@ from z2qsim import classical, ensemble, quantum
 from z2qsim.cli import EXIT_CAP, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from z2qsim.lattice import Boundary, build_lattice, gauge_fix
 from z2qsim.limits import ENV_VAR
+from oracles import action_density
 
 
 def read_csv(path):
@@ -346,7 +347,7 @@ class TestSampleAndAnalyze:
             (f"plaquette[{i}]", lambda c, i=i: classical.plaquette_products(c, lat)[..., i])
             for i in range(lat.n_plaquettes)
         ]
-        observables.append(("action-density", lambda c: classical.action_density(c, lat, 0.6)))
+        observables.append(("action-density", lambda c: action_density(c, lat, 0.6)))
         observables.append(("plaquette", lambda c: classical.plaquette_average(c, lat)))
         assert [r["observable"] for r in rows] == [label for label, _ in observables]
         for row, (_, obs) in zip(rows, observables):

@@ -14,8 +14,9 @@ from z2qsim.lattice import (
     count_links,
     gauge_fix,
     parity_sum,
-    staple_masks,
+    plaquette_masks,
 )
+from oracles import link_site_dir, staple_links
 
 
 # Every D = 2..4 lattice with extents up to 5 and at most 24 free links (a
@@ -38,7 +39,7 @@ def small_lattice(dims, boundary):
 
 
 def link_endpoints(lat, n):
-    site, mu = lat.link_site_dir(n)
+    site, mu = link_site_dir(lat, n)
     return site, lat.shift_site(site, mu)
 
 
@@ -123,6 +124,29 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_links(dims, boundary)
 
+    @pytest.mark.parametrize("boundary", ["periodic", "open", None, 1])
+    def test_boundary_must_be_enum(self, boundary):
+        # unchecked, a string built 18 links but 4 plaquettes on 3x3, and
+        # gauge_fix then failed deep inside with a TypeError
+        with pytest.raises(ValueError, match="boundary must be a Boundary"):
+            build_lattice((3, 3), boundary)
+        with pytest.raises(ValueError, match="boundary must be a Boundary"):
+            count_links((3, 3), boundary)
+
+    @pytest.mark.parametrize("dims", [(2.7, 2), (3.0, 3), ("3", "3"), (True, 3), (3, None)])
+    def test_extents_must_be_integers(self, dims):
+        # unchecked, int() truncated 2.7 to 2 and parsed "3"
+        with pytest.raises(ValueError, match="extents must be integers"):
+            build_lattice(dims)
+        with pytest.raises(ValueError, match="extents must be integers"):
+            count_links(dims)
+
+    def test_numpy_extents_accepted(self):
+        dims = np.array([3, 3], dtype=np.int64)
+        lat = build_lattice(dims, Boundary.PERIODIC)
+        assert lat.dims == (3, 3) and all(type(d) is int for d in lat.dims)
+        assert count_links((np.int32(3), np.uint8(2))) == count_links((3, 2)) == 7
+
     def test_count_links_of_unbuilt_lattice(self):
         assert count_links((1000, 1000, 1000)) == 3 * 999 * 1000 * 1000
         assert count_links((1000, 1000, 1000), Boundary.PERIODIC) == 3 * 10**9
@@ -136,7 +160,7 @@ class TestGeometry:
 
     def test_link_ordering_lexicographic(self, hypercube):
         lat, _ = hypercube
-        pairs = [lat.link_site_dir(n) for n in range(lat.n_links)]
+        pairs = [link_site_dir(lat, n) for n in range(lat.n_links)]
         assert pairs == sorted(pairs)
 
     def test_shift_off_open_edge_is_none(self):
@@ -185,7 +209,7 @@ class TestPlaquettes:
         lat, _ = hypercube
         planes = set()
         for quad in lat.plaq_links:
-            dirs = sorted(lat.link_site_dir(int(l))[1] for l in quad)
+            dirs = sorted(link_site_dir(lat, int(l))[1] for l in quad)
             mu, nu = dirs[0], dirs[2]
             assert mu < nu
             assert dirs == [mu, mu, nu, nu]
@@ -199,31 +223,36 @@ class TestPlaquettes:
 
 
 class TestStaples:
+    """The staples of link n are the plaquettes through it, less n itself:
+    ``plaquettes_of`` lists those plaquettes."""
+
     def test_hypercube_three_staples_per_link(self, hypercube):
         lat, _ = hypercube
         for n in range(lat.n_links):
-            assert lat.staple_link_array(n).shape == (3, 3)
+            assert len(lat.plaquettes_of(n)) == 3
 
-    def test_staple_completes_plaquette(self, cube2):
-        lat, _ = cube2
-        for n in range(lat.n_links):
-            plaq_sets = [frozenset(q) for q in lat.plaq_links.tolist() if n in q]
-            staples = lat.staple_link_array(n)
-            assert not staples.flags.writeable
-            assert [frozenset(st) | {n} for st in staples.tolist()] == plaq_sets
+    def test_staple_completes_plaquette(self, cube2, torus3):
+        # every plaquette through n is listed once, and no other
+        for lat, _ in (cube2, torus3):
+            quads = lat.plaq_links.tolist()
+            for n in range(lat.n_links):
+                listed = lat.plaquettes_of(n)
+                assert len(set(listed)) == len(listed)
+                assert set(listed) == {p for p, quad in enumerate(quads) if n in quad}
+            assert sum(len(lat.plaquettes_of(n)) for n in range(lat.n_links)) == 4 * lat.n_plaquettes
 
     def test_staples_keep_plaquette_order(self, square3):
         lat, _ = square3
         for n in range(lat.n_links):
-            expected = [[l for l in q if l != n] for q in lat.plaq_links.tolist() if n in q]
-            assert lat.staple_link_array(n).tolist() == expected
+            expected = [p for p, quad in enumerate(lat.plaq_links.tolist()) if n in quad]
+            assert lat.plaquettes_of(n) == tuple(expected)
 
     def test_out_of_range(self, square2):
         lat, _ = square2
         with pytest.raises(IndexError):
-            lat.staple_link_array(lat.n_links)
+            lat.plaquettes_of(lat.n_links)
         with pytest.raises(IndexError):
-            lat.staple_link_array(-1)
+            lat.plaquettes_of(-1)
 
 
 class TestGaugeFixing:
@@ -276,13 +305,18 @@ class TestGaugeFixing:
             np.testing.assert_array_equal(1 - 2 * parity, configs[:, links].prod(axis=-1))
         assert gf.bit_mask(gf.fixed) == 0
 
-    def test_staple_masks_table(self, torus3):
-        lat, gf = torus3
-        table = staple_masks(lat, gf)
-        assert staple_masks(lat, gf) is table
-        assert len(table) == gf.n_free
-        for link, masks in zip(gf.free, table):
-            assert masks == tuple(gf.bit_mask(st) for st in lat.staple_link_array(link))
+    @pytest.mark.parametrize("name", ["cube2", "torus3", "torus333"])
+    def test_plaquette_masks_table(self, name, request):
+        # mask p gives plaquette p's four-link product as a parity; torus333's
+        # masks span 55 bits
+        lat, gf = request.getfixturevalue(name)
+        masks = plaquette_masks(lat, gf)
+        assert masks == [gf.bit_mask(quad) for quad in lat.plaq_links]
+        idx = np.random.default_rng(5).integers(0, 1 << gf.n_free, size=200, dtype=np.uint64)
+        configs = gf.decode(idx)
+        for mask, quad in zip(masks, lat.plaq_links):
+            parity = np.bitwise_count(idx & np.uint64(mask)).astype(int) & 1
+            np.testing.assert_array_equal(1 - 2 * parity, configs[:, quad].prod(axis=-1))
 
 
 class TestEncodeDecode:
@@ -336,7 +370,7 @@ class TestEncodeDecode:
     def test_parity_sum_is_sum_of_link_products(self, name, request):
         # masks of the staples of the first free link, summed over the batch
         lat, gf = request.getfixturevalue(name)
-        staples = lat.staple_link_array(gf.free[0])
+        staples = staple_links(lat, gf.free[0])
         idx = np.random.default_rng(7).integers(0, 1 << gf.n_free, size=(3, 50), dtype=np.uint64)
         expected = gf.decode(idx)[..., staples].prod(axis=-1).sum(axis=-1)
         got = parity_sum(idx, [gf.bit_mask(s) for s in staples])

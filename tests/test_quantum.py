@@ -10,12 +10,9 @@ from z2qsim import limits, quantum
 from z2qsim.classical import (
     Coupling,
     _acceptance_table,
-    _plaquettes_through,
-    action,
     exact_expectation,
     flip_probability,
     plaquette_average,
-    staple_sum,
 )
 from z2qsim.ensemble import Sampler
 from z2qsim.lattice import Boundary, build_lattice, gauge_fix
@@ -34,6 +31,7 @@ from z2qsim.quantum import (
     plaquette_sum_diagonal,
     sample_configs,
 )
+from oracles import action, plaquette_bits, staple_links, staple_sum
 
 BETAS = (0.0, 0.7, 1.5)
 # Up to the large couplings a cold ramp passes through, where 1 - tanh(beta c)
@@ -115,6 +113,20 @@ def two_qubit():
 
 
 @pytest.fixture(scope="module")
+def open43():
+    """4x3 open square: 6 free links."""
+    lat = build_lattice((4, 3))
+    return lat, gauge_fix(lat)
+
+
+@pytest.fixture(scope="module")
+def torus44():
+    """4x4 periodic square: 17 free links, as many as the hypercube."""
+    lat = build_lattice((4, 4), Boundary.PERIODIC)
+    return lat, gauge_fix(lat)
+
+
+@pytest.fixture(scope="module")
 def whole15():
     """4x6 open square: 15 free links, the largest state applied whole."""
     lat = build_lattice((4, 6))
@@ -127,6 +139,19 @@ def slab16():
     lat = build_lattice((2, 3, 3))
     return lat, gauge_fix(lat)
 
+
+# Every term against dense expm: D = 2 and 3, open and periodic.  The cube2
+# cases are named by beta alone.  torus3's ten dense 10-qubit expms take about
+# 5 s together, so it runs at one coupling.
+EXPM_CASES = (
+    [pytest.param("cube2", beta, id=str(beta)) for beta in KERNEL_BETAS]
+    + [
+        pytest.param(name, beta, id=f"{name}-{beta}")
+        for name in ("square3", "open43")
+        for beta in KERNEL_BETAS
+    ]
+    + [pytest.param("torus3", 1.4, id="torus3-1.4")]
+)
 
 BLOCKING_LATTICES = (
     "square2", "two_qubit", "square3", "cube2", "torus3", "whole15", "slab16", "hypercube",
@@ -214,16 +239,15 @@ class TestLinkTerms:
             c = np.unique(staple_sums_full(term))
             assert set(c.tolist()) <= {-3, -1, 1, 3}
 
-    def test_staple_sums_match_classical(self, cube2):
-        lat, gf = cube2
-        terms = build_link_terms(lat, gf)
-        rng = np.random.default_rng(8)
-        for b in rng.integers(0, 1 << gf.n_free, size=20):
-            config = gf.decode(np.uint64(b))
-            for q, term in enumerate(terms):
-                assert staple_sums_full(term)[int(b)] == staple_sum(
-                    config, gf.free[q], lat
-                )
+    @pytest.mark.parametrize("name", ["cube2", "torus3", "hypercube", "torus44"])
+    def test_staple_sums_match_classical(self, name, request):
+        # D = 2..4, both boundaries: every c_table entry against the staple
+        # sum of the decoded configuration
+        lat, gf = request.getfixturevalue(name)
+        configs = gf.decode(np.arange(1 << gf.n_free, dtype=np.uint64))
+        for term, link in zip(build_link_terms(lat, gf), gf.free):
+            assert term.n_staples == len(staple_links(lat, link))
+            np.testing.assert_array_equal(staple_sums_full(term), staple_sum(configs, link, lat))
 
     def test_c_bounded_by_staple_count(self, torus3):
         lat, gf = torus3
@@ -308,9 +332,9 @@ class TestTermEvolution:
             out = apply_term_evolution(psi.copy(), terms[0], coupling, dt)
             np.testing.assert_allclose(out, psi, atol=1e-12)
 
-    @pytest.mark.parametrize("beta", KERNEL_BETAS)
-    def test_matches_expm_oracle(self, cube2, beta):
-        lat, gf = cube2
+    @pytest.mark.parametrize("name, beta", EXPM_CASES)
+    def test_matches_expm_oracle(self, name, beta, request):
+        lat, gf = request.getfixturevalue(name)
         terms = build_link_terms(lat, gf)
         rng = np.random.default_rng(2)
         coupling = Coupling(beta)
@@ -505,11 +529,11 @@ class TestPauliHamiltonian:
         for name in ("cube2", "hypercube"):
             lat, gf = request.getfixturevalue(name)
             diagonal = quantum._hamiltonian_diagonal(build_link_terms(lat, gf), Coupling(beta))
-            accept = _acceptance_table(_plaquettes_through(lat, gf), beta)
+            accept = _acceptance_table(plaquette_bits(lat, gf), beta)
             configs = gf.decode(np.arange(1 << gf.n_free, dtype=np.uint64))
             expected = np.zeros(1 << gf.n_free)
             for q, link in enumerate(gf.free):
-                staples = lat.staple_link_array(link)
+                staples = staple_links(lat, link)
                 # u C = the sum of the plaquettes through the link = n_q - 2 j
                 uc = configs[:, link] * configs[:, staples].prod(axis=-1).sum(axis=-1)
                 expected += np.asarray(accept[q])[(len(staples) - uc) // 2]
