@@ -170,64 +170,6 @@ def _acceptance_table(plaq_of, beta: float):
 _BLOCK_UPDATES = 1 << 14  # single-link updates whose random numbers ``mcmc_run`` draws at once
 
 
-def _lemire_threshold(n: int) -> int:
-    """numpy's rejection bound for a draw in [0, n) from a 32-bit half x:
-    x is rejected when (x * n) mod 2**32 falls below it."""
-    return (1 << 32) % n
-
-
-def _draw_sweeps(rng: np.random.Generator, n_sweeps: int, n_free: int):
-    """The random numbers of ``n_sweeps`` Glauber sweeps, as flat lists (qs, us).
-
-    They equal, value for value, ``n_sweeps`` rounds of
-    ``rng.integers(0, n_free, size=n_free)`` followed by ``rng.random(n_free)``,
-    and ``rng.bit_generator.state`` is left where those calls leave it.  ``rng``
-    is a PCG64 Generator, as ``default_rng`` makes.  numpy draws each bounded
-    integer by Lemire's method from one 32-bit half of a raw word, low half
-    first, and keeps the high half as a spare (``has_uint32``/``uinteger``) that
-    ``random`` leaves alone; for n_free == 1 it draws nothing.  Each double is
-    the top 53 bits of one raw word.  So one ``random_raw`` call covers the
-    block, cut into each sweep's integer words and double words.  If Lemire's
-    method would reject a half (probability below n_free * 2**-32 per draw),
-    the state is restored and the block is drawn with the public calls.
-    """
-    bitgen = rng.bit_generator
-    start = bitgen.state
-    spare = start["has_uint32"]
-    n_ints = n_sweeps * n_free if n_free > 1 else 0
-    int_words = np.zeros(n_sweeps, dtype=np.int64)
-    if n_ints:
-        # a sweep starts with a spare half when the halves drawn before it are odd
-        pending = (spare + np.arange(n_sweeps, dtype=np.int64) * n_free) % 2
-        int_words = (n_free - pending + 1) // 2
-    counts = np.empty(2 * n_sweeps, dtype=np.int64)
-    counts[0::2] = int_words
-    counts[1::2] = n_free
-    is_int = np.repeat(np.tile([True, False], n_sweeps), counts)
-    raw = bitgen.random_raw(is_int.size)
-    words = raw[is_int]
-    halves = np.empty(spare + 2 * words.size, dtype=np.uint64)
-    halves[:spare] = start["uinteger"]
-    halves[spare::2] = words & 0xFFFFFFFF
-    halves[spare + 1 :: 2] = words >> 32
-    scaled = halves[:n_ints] * np.uint64(n_free)
-    if ((scaled & 0xFFFFFFFF) < _lemire_threshold(n_free)).any():
-        bitgen.state = start
-        qs, us = [], []
-        for _ in range(n_sweeps):
-            qs += rng.integers(0, n_free, size=n_free).tolist()
-            us += rng.random(n_free).tolist()
-        return qs, us
-    if words.size:
-        state = bitgen.state
-        state["has_uint32"] = int(halves.size > n_ints)
-        state["uinteger"] = int(words[-1] >> 32)
-        bitgen.state = state
-    qs = (scaled >> 32).tolist() if n_ints else [0] * n_sweeps
-    us = ((raw[~is_int] >> 11) * 2.0**-53).tolist()
-    return qs, us
-
-
 def _check_count(name: str, value, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
@@ -245,12 +187,14 @@ def mcmc_run(
     """Glauber-chain baseline: n_configs gauge configurations, ``stride``
     sweeps apart, after ``n_therm`` thermalization sweeps from a random start.
 
-    Each sweep makes n_free single-link updates with the links from
-    ``rng.integers(0, n_free, size=n_free)`` and the uniforms from
-    ``rng.random(n_free)``, ``rng = default_rng(seed)``.  ``_draw_sweeps``
-    draws that stream value for value, ``_BLOCK_UPDATES`` updates (at least
-    one sweep) at a time, so the configurations are bit-identical for a fixed
-    seed whatever the block length.
+    ``rng = default_rng(seed)`` draws the start state and spawns
+    ``links, uniforms = rng.spawn(2)``.  Each sweep makes n_free single-link
+    updates, the links from ``links.integers(0, n_free, size=n_free)`` and
+    the uniforms from ``uniforms.random(n_free)``.  Consecutive calls on a
+    generator equal one call of the summed size (a bounded integer keeps its
+    spare 32-bit half in the bit generator's state; a double takes a whole
+    word), so drawing ``_BLOCK_UPDATES`` updates (at least one sweep) at a
+    time gives the same configurations whatever the block length.
 
     The chain keeps a register of frustrated plaquettes beside the state.  An
     update of link q counts the frustrated plaquettes through it with one
@@ -263,6 +207,7 @@ def mcmc_run(
     _check_count("stride", stride, 1)
     limits.check_free_links(gf.n_free, "mcmc_run", cap=limits.CHAIN_STATE_CAP)
     rng = np.random.default_rng(seed)
+    links, uniforms = rng.spawn(2)
     # per free link: bit p set for every plaquette p through it
     plaq_of = [sum(1 << p for p in lattice.plaquettes_of(link)) for link in gf.free]
     accept = _acceptance_table(plaq_of, beta)
@@ -280,7 +225,8 @@ def mcmc_run(
     i = 0
     for done in range(0, n_sweeps, block):
         n = min(block, n_sweeps - done)
-        qs, us = _draw_sweeps(rng, n, n_free)
+        qs = links.integers(0, n_free, size=n * n_free).tolist()
+        us = uniforms.random(n * n_free).tolist()
         # offsets into the block's updates after which a configuration is recorded
         first = (n_therm + (i + 1) * stride - done) * n_free
         records = range(first, n * n_free + 1, stride * n_free)

@@ -17,7 +17,7 @@ import contextlib
 import sys
 
 from . import __version__, classical, ensemble, limits, quantum
-from .lattice import Boundary, build_lattice, count_links, gauge_fix
+from .lattice import Boundary, build_lattice, count_free_links, count_links, gauge_fix
 from .quantum import Schedule, StartKind
 
 EXIT_OK = 0
@@ -144,7 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_lattice(args):
+def _resolve_lattice(args, context: str, cap: int | None = None):
+    """The lattice of --dims/--boundary/--preset and its gauge fixing.  Its free
+    links, counted in closed form, are first checked against the cap that the
+    library applies first on the subcommand's path, so none too large is built."""
     dims = _parse_dims(args.dims) if args.dims else None
     boundary = Boundary(args.boundary) if args.boundary else None
     if args.preset:
@@ -153,7 +156,9 @@ def _resolve_lattice(args):
         boundary = boundary if boundary is not None else preset_boundary
     if dims is None:
         raise ValueError("lattice dimensions required: pass --dims or --preset")
-    lattice = build_lattice(dims, boundary if boundary is not None else Boundary.OPEN)
+    boundary = boundary if boundary is not None else Boundary.OPEN
+    limits.check_free_links(count_free_links(dims, boundary), context, cap)
+    lattice = build_lattice(dims, boundary)
     return lattice, gauge_fix(lattice)
 
 
@@ -216,7 +221,7 @@ def _cell(value) -> str:
 
 
 def run_exact(args) -> int:
-    lattice, gf = _resolve_lattice(args)
+    lattice, gf = _resolve_lattice(args, "plaquette diagonal")
     betas = _resolve_betas(args)
     rows = list(zip(betas, classical.exact_expectation(lattice, gf, betas)))
     rows.sort()
@@ -226,7 +231,7 @@ def run_exact(args) -> int:
 
 
 def run_mcmc(args) -> int:
-    lattice, gf = _resolve_lattice(args)
+    lattice, gf = _resolve_lattice(args, "mcmc_run", limits.CHAIN_STATE_CAP)
     betas = _resolve_betas(args)
     if len(betas) != 1:
         raise ValueError("mcmc runs one coupling at a time; pass --beta")
@@ -247,7 +252,7 @@ def run_mcmc(args) -> int:
 
 
 def run_adiabatic(args) -> int:
-    lattice, gf = _resolve_lattice(args)
+    lattice, gf = _resolve_lattice(args, "statevector evolution")
     betas = _resolve_betas(args)
     times = _resolve_times(args)
     if len(betas) > 1 and len(times) > 1:
@@ -281,7 +286,7 @@ def run_adiabatic(args) -> int:
 
 
 def run_sample(args) -> int:
-    lattice, gf = _resolve_lattice(args)
+    lattice, gf = _resolve_lattice(args, "statevector evolution")
     betas = _resolve_betas(args)
     if len(betas) != 1:
         raise ValueError("sample runs one coupling at a time; pass --beta")

@@ -251,16 +251,6 @@ def _plain_error(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(n))
 
 
-def _jackknife_error(values: np.ndarray) -> float:
-    """Delete-1 jackknife on the mean."""
-    n = values.size
-    if n < 2:
-        return math.nan
-    total = values.sum(dtype=np.float64)
-    loo = (total - values) / (n - 1)
-    return float(math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum()))
-
-
 def _binned_error(values: np.ndarray) -> float:
     """Bin the series, doubling the bin size until the error estimate moves by
     less than 10% or fewer than 8 bins remain; returns the last estimate."""
@@ -294,12 +284,10 @@ def estimate(ensemble: Ensemble, observable, method=None) -> Estimate:
         raise ValueError(
             f"observable returned shape {values.shape}, expected ({ensemble.n_configs},)"
         )
-    if method is EstimateMethod.PLAIN:
-        err = _plain_error(values)
-    elif method is EstimateMethod.JACKKNIFE:
-        err = _jackknife_error(values)
-    else:
+    if method is EstimateMethod.BINNED:
         err = _binned_error(values)
+    else:  # the delete-1 jackknife error of a mean is s / sqrt(n) exactly
+        err = _plain_error(values)
     return Estimate(
         mean=float(values.mean()), error=err, n_samples=ensemble.n_configs, method=method
     )

@@ -10,6 +10,7 @@ safe to share read-only across threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -49,12 +50,17 @@ def count_links(dims, boundary: Boundary = Boundary.OPEN) -> int:
     Validates dims and boundary as ``Lattice`` does.
     """
     dims = _checked_dims(dims, boundary)
-    n_sites = 1
-    for d in dims:
-        n_sites *= d
+    n_sites = math.prod(dims)
     if boundary is Boundary.PERIODIC:
         return len(dims) * n_sites
     return sum(n_sites // d * (d - 1) for d in dims)
+
+
+def count_free_links(dims, boundary: Boundary = Boundary.OPEN) -> int:
+    """``gauge_fix(build_lattice(dims, boundary)).n_free`` in closed form: the
+    lattice is connected, so its spanning tree fixes n_sites - 1 links."""
+    dims = _checked_dims(dims, boundary)
+    return count_links(dims, boundary) - math.prod(dims) + 1
 
 
 class Lattice:

@@ -40,12 +40,13 @@ def naive_expectation(lattice, beta, observable):
     return float((values * weights).sum() / weights.sum())
 
 
-def reference_run_sweeps(state, n_sweeps, masks, n_free, beta, rng):
+def reference_run_sweeps(state, n_sweeps, masks, n_free, beta, links, uniforms):
     """The Glauber loop as it was before the acceptance table: the staple sum
-    and ``flip_probability`` recomputed on every update."""
+    and ``flip_probability`` recomputed on every update, and the random
+    numbers drawn one sweep at a time."""
     for _ in range(n_sweeps):
-        qs = rng.integers(0, n_free, size=n_free)
-        us = rng.random(n_free)
+        qs = links.integers(0, n_free, size=n_free)
+        us = uniforms.random(n_free)
         for q, uni in zip(qs, us):
             q = int(q)
             c = 0
@@ -60,14 +61,15 @@ def reference_run_sweeps(state, n_sweeps, masks, n_free, beta, rng):
 def reference_mcmc_configs(lattice, gf, beta, n_configs, n_therm, stride, seed):
     """``mcmc_run``'s configurations, drawn through ``reference_run_sweeps``."""
     rng = np.random.default_rng(seed)
+    links, uniforms = rng.spawn(2)
     masks = [[gf.bit_mask(st) for st in staple_links(lattice, link)] for link in gf.free]
     state = 0
     for q, bit in enumerate(rng.integers(0, 2, size=gf.n_free)):
         state |= int(bit) << q
-    state = reference_run_sweeps(state, n_therm, masks, gf.n_free, beta, rng)
+    state = reference_run_sweeps(state, n_therm, masks, gf.n_free, beta, links, uniforms)
     samples = []
     for _ in range(n_configs):
-        state = reference_run_sweeps(state, stride, masks, gf.n_free, beta, rng)
+        state = reference_run_sweeps(state, stride, masks, gf.n_free, beta, links, uniforms)
         samples.append(state)
     return gf.decode(np.array(samples, dtype=np.uint64))
 
@@ -431,50 +433,57 @@ class TestGlauberChain:
     )
     def test_stream_independent_of_blocks(self, name, seed, block, request, monkeypatch):
         # blocks of 1, 2 or 3 sweeps cut the records and the thermalization at
-        # every offset; "fallback" makes every block reject and take the public calls
+        # every offset; "fallback" sets fewer block updates than one sweep has,
+        # so the block length falls back to its floor of one sweep
         _, gf = request.getfixturevalue(name)
-        if block == "fallback":
-            monkeypatch.setattr(classical, "_lemire_threshold", lambda n: 1 << 32)
-        else:
-            monkeypatch.setattr(classical, "_BLOCK_UPDATES", block * gf.n_free)
+        updates = 1 if block == "fallback" else block * gf.n_free
+        monkeypatch.setattr(classical, "_BLOCK_UPDATES", updates)
         self.test_mcmc_matches_reference_stream(name, 0.7, seed, request)
 
     @pytest.mark.parametrize("n_sweeps", [1, 2, 7, 40])
     @pytest.mark.parametrize("spare_draws", [None, 1, 2, 5, 8])
     @pytest.mark.parametrize("n_free", [1, 2, 3, 16, 17, 55, 1025])
     def test_draw_sweeps_matches_public_calls(self, n_free, spare_draws, n_sweeps):
-        # an odd integers(0, 2, size=m) leaves a spare half that the block must
-        # use first; the state afterwards includes has_uint32 and uinteger
+        # what block independence rests on: one call per generator for a block
+        # of sweeps equals one call per sweep, the generator state afterwards
+        # included.  A bounded integer keeps its spare 32-bit half in the bit
+        # generator's state and a double takes one whole word; an odd
+        # integers(0, 2, size=m) first leaves a spare half to be used first
         for seed in (0, 5, 2024):
-            block, public = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = np.random.default_rng(seed).spawn(2)
+            public = np.random.default_rng(seed).spawn(2)
             if spare_draws is not None:
-                block.integers(0, 2, size=spare_draws)
-                public.integers(0, 2, size=spare_draws)
-            qs, us = classical._draw_sweeps(block, n_sweeps, n_free)
+                block[0].integers(0, 2, size=spare_draws)
+                public[0].integers(0, 2, size=spare_draws)
+            qs = block[0].integers(0, n_free, size=n_sweeps * n_free).tolist()
+            us = block[1].random(n_sweeps * n_free).tolist()
             expected_qs, expected_us = [], []
             for _ in range(n_sweeps):
-                expected_qs += public.integers(0, n_free, size=n_free).tolist()
-                expected_us += public.random(n_free).tolist()
+                expected_qs += public[0].integers(0, n_free, size=n_free).tolist()
+                expected_us += public[1].random(n_free).tolist()
             assert qs == expected_qs
             assert us == expected_us
-            assert block.bit_generator.state == public.bit_generator.state
+            for drawn, expected in zip(block, public):
+                assert drawn.bit_generator.state == expected.bit_generator.state
 
     def test_draw_sweeps_rejection_falls_back(self):
-        # with seed 0, the low half of raw word 1345507 is one Lemire rejects for
-        # n = 1025 (probability ~2.4e-7 per half); start the block 10 words before
+        # with seed 0, the low half of raw word 1345507 is one Lemire's method
+        # rejects for n = 1025 (probability ~2.4e-7 per half); it falls back on
+        # the next half, and a block drawn across it still equals the sweeps
         n_free, word = 1025, 1345507
         probe = np.random.default_rng(0).bit_generator.advance(word).random_raw()
-        assert ((probe & 0xFFFFFFFF) * n_free) % (1 << 32) < classical._lemire_threshold(n_free)
+        assert ((probe & 0xFFFFFFFF) * n_free) % (1 << 32) < (1 << 32) % n_free
         block, public = np.random.default_rng(0), np.random.default_rng(0)
         block.bit_generator.advance(word - 10)
         public.bit_generator.advance(word - 10)
-        qs, us = classical._draw_sweeps(block, 2, n_free)
-        expected_qs, expected_us = [], []
+        qs = block.integers(0, n_free, size=2 * n_free).tolist()
+        expected_qs = []
         for _ in range(2):
             expected_qs += public.integers(0, n_free, size=n_free).tolist()
-            expected_us += public.random(n_free).tolist()
         assert qs == expected_qs
-        assert us == expected_us
+        # 2 * n_free halves from a fresh word end on a word boundary; the
+        # rejected half leaves one spare
+        assert block.bit_generator.state["has_uint32"] == 1
         assert block.bit_generator.state == public.bit_generator.state
 
     @pytest.mark.parametrize("name", ["cube2", "square3"])

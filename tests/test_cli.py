@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import z2qsim
-from z2qsim import classical, ensemble, quantum
+from z2qsim import classical, cli, ensemble, quantum
 from z2qsim.cli import EXIT_CAP, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from z2qsim.lattice import Boundary, build_lattice, gauge_fix
 from z2qsim.limits import ENV_VAR
@@ -138,6 +138,19 @@ class TestExitCodes:
         assert code == EXIT_CAP
         assert "error" in capsys.readouterr().err
 
+    def test_cap_checked_before_building(self, monkeypatch, capsys):
+        # 40^3 has 123 201 free links; building it took seconds before the refusal
+        def unreachable(*args):
+            raise AssertionError("the cap must be checked before the lattice is built")
+
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        monkeypatch.setattr(cli, "build_lattice", unreachable)
+        code = main(["exact", "--dims", "40,40,40", "--beta", "0.7"])
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err == (
+            f"error: plaquette diagonal: N_free=123201 exceeds cap 24 (override with {ENV_VAR})\n"
+        )
+
     def test_missing_ensemble_file(self, tmp_path):
         assert main(["analyze", "--ensemble", str(tmp_path / "nope.dat")]) == EXIT_IO
 
@@ -182,7 +195,7 @@ class TestMcmc:
         def unreachable(*args):
             raise AssertionError("the cap must be checked before any sweep")
 
-        monkeypatch.setattr(classical, "_draw_sweeps", unreachable)
+        monkeypatch.setattr(classical, "_acceptance_table", unreachable)
         code = main(["mcmc", "--dims", "4,4,4", "--beta", "0.7", "--n-configs", "3",
                      "--n-therm", "1", "--stride", "1", "--out", str(tmp_path / "x.dat")])
         assert code == EXIT_CAP

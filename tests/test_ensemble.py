@@ -358,6 +358,14 @@ class TestEstimate:
         jack = estimate(ens, obs, method=EstimateMethod.JACKKNIFE)
         assert jack.mean == pytest.approx(plain.mean, abs=1e-15)
         assert jack.error == pytest.approx(plain.error, rel=1e-12)
+        # 100 000 ones with three -1s, where summing the leave-one-out means
+        # lands 1.7e-12 relative away: the error must be s / sqrt(n) exactly
+        series = np.ones(100_000)
+        series[:3] = -1.0
+        meta = make_ensemble().meta
+        long = Ensemble(meta=meta, configs=np.ones((series.size, 2), dtype=np.int8))
+        jack = estimate(long, lambda c: series, method=EstimateMethod.JACKKNIFE)
+        assert jack.error == series.std(ddof=1) / math.sqrt(series.size)
 
     def test_binned_grows_with_autocorrelation(self):
         rng = np.random.default_rng(12)

@@ -1,5 +1,4 @@
 import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -11,6 +10,7 @@ from z2qsim.classical import plaquette_products
 from z2qsim.lattice import (
     Boundary,
     build_lattice,
+    count_free_links,
     count_links,
     gauge_fix,
     parity_sum,
@@ -19,16 +19,15 @@ from z2qsim.lattice import (
 from oracles import link_site_dir, staple_links
 
 
-# Every D = 2..4 lattice with extents up to 5 and at most 24 free links (a
-# spanning tree fixes n_sites - 1 links).  Periodic lattices need extents >= 3,
-# so only D = 2 ones stay under 24.
+# Every D = 2..4 lattice with extents up to 5 and at most 24 free links.
+# Periodic lattices need extents >= 3, so only D = 2 ones stay under 24.
 SMALL_LATTICES = [
     (dims, boundary)
     for boundary in Boundary
     for ndim in (2, 3, 4)
     for dims in itertools.product(range(2, 6), repeat=ndim)
     if boundary is Boundary.OPEN or min(dims) >= 3
-    if count_links(dims, boundary) - math.prod(dims) + 1 <= 24
+    if count_free_links(dims, boundary) <= 24
 ]
 
 
@@ -146,6 +145,21 @@ class TestCounts:
         lat = build_lattice(dims, Boundary.PERIODIC)
         assert lat.dims == (3, 3) and all(type(d) is int for d in lat.dims)
         assert count_links((np.int32(3), np.uint8(2))) == count_links((3, 2)) == 7
+
+    @pytest.mark.parametrize("dims,boundary", [
+        ((2, 2), Boundary.OPEN),
+        ((5, 2), Boundary.OPEN),
+        ((2, 3, 4), Boundary.OPEN),
+        ((2, 2, 2, 2), Boundary.OPEN),
+        ((3, 2, 2, 2), Boundary.OPEN),
+        ((3, 3), Boundary.PERIODIC),
+        ((4, 3), Boundary.PERIODIC),
+        ((3, 3, 3), Boundary.PERIODIC),
+        ((3, 3, 3, 3), Boundary.PERIODIC),
+    ])
+    def test_count_free_links(self, dims, boundary):
+        # the CLI refuses a lattice on this count before building it
+        assert count_free_links(dims, boundary) == gauge_fix(build_lattice(dims, boundary)).n_free
 
     def test_count_links_of_unbuilt_lattice(self):
         assert count_links((1000, 1000, 1000)) == 3 * 999 * 1000 * 1000
