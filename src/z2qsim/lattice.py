@@ -2,10 +2,11 @@
 
 Sites live on a D-dimensional grid (2 <= D <= 4), links on nearest-neighbor
 bonds, plaquettes on unit squares.  Site indices are row-major in ``dims``;
-link indices are lexicographic in (site index, direction), which fixes the
-global ordering used by configuration files and qubit assignment.  All
-incidence tables are built at construction and then frozen: a Lattice is
-safe to share read-only across threads.
+link indices are lexicographic in (site index, direction).  A ``Lattice`` is
+three int32 index tables, ``_link_of``, ``link_ends`` and ``plaq_links``,
+built with numpy at construction and then frozen, so it is safe to share
+read-only across threads.  Their order is the configuration file format and,
+through ``gauge_fix``, the qubit order.
 """
 
 from __future__ import annotations
@@ -64,105 +65,49 @@ def count_free_links(dims, boundary: Boundary = Boundary.OPEN) -> int:
 
 
 class Lattice:
-    """Immutable hypercubic lattice with link/plaquette incidence."""
+    """Immutable hypercubic lattice with link/plaquette incidence.
+
+    - ``_link_of`` (n_sites, ndim): the link leaving each site along each
+      direction, -1 where an open edge has none;
+    - ``link_ends`` (n_links, 2): the (tail, head) sites of each link;
+    - ``plaq_links`` (n_plaquettes, 4): the links (x, mu), (x + mu, nu),
+      (x + nu, mu), (x, nu) of each plaquette, by base site x, then by plane
+      mu < nu.
+
+    These orders fix the ensemble file format and the qubit order: a change
+    to any of them changes every output bit.
+    """
 
     def __init__(self, dims, boundary: Boundary = Boundary.OPEN):
         self.dims = dims = _checked_dims(dims, boundary)
         self.boundary = boundary
-        self.ndim = len(dims)
-        self.n_sites = int(np.prod(dims))
+        self.ndim = ndim = len(dims)
+        self.n_sites = math.prod(dims)
 
-        # Row-major site strides: last axis fastest.
-        strides = [1] * self.ndim
-        for mu in range(self.ndim - 2, -1, -1):
-            strides[mu] = strides[mu + 1] * dims[mu + 1]
-        self._strides = tuple(strides)
+        # up[x, mu]: the site one step along mu from x, wrapping round
+        grid = np.arange(self.n_sites).reshape(dims)
+        up = np.stack([np.roll(grid, -1, axis=mu).ravel() for mu in range(ndim)], axis=1)
+        if boundary is Boundary.PERIODIC:
+            has = np.ones((self.n_sites, ndim), dtype=bool)
+        else:
+            has = np.indices(dims).reshape(ndim, -1).T < np.array(dims) - 1
+        tail, along = np.nonzero(has)
+        self.n_links = len(tail)
+        self._link_of = link_of = np.full((self.n_sites, ndim), -1, dtype=np.int32)
+        link_of[has] = np.arange(self.n_links)
+        self.link_ends = np.stack([tail, up[tail, along]], axis=1).astype(np.int32)
 
-        self._build_links()
-        self._build_plaquettes()
-        for arr in (self._link_of, self.plaq_links):
+        mu, nu = np.triu_indices(ndim, 1)
+        quads = np.stack(
+            [link_of[:, mu], link_of[up[:, mu], nu], link_of[up[:, nu], mu], link_of[:, nu]], axis=-1
+        )
+        self.plaq_links = quads[has[:, mu] & has[:, nu]]
+        self.n_plaquettes = len(self.plaq_links)
+        for arr in (self._link_of, self.link_ends, self.plaq_links):
             arr.flags.writeable = False
 
-    # ----- sites -----
-
-    def site_index(self, coords) -> int:
-        return sum(int(c) * s for c, s in zip(coords, self._strides))
-
-    def site_coords(self, site: int) -> tuple[int, ...]:
-        out = []
-        for s in self._strides:
-            out.append(site // s)
-            site %= s
-        return tuple(out)
-
-    def shift_site(self, site: int, mu: int, step: int = 1) -> int | None:
-        """Neighbor site in direction mu, or None if it falls off an open edge."""
-        coords = list(self.site_coords(site))
-        coords[mu] += step
-        if self.boundary is Boundary.PERIODIC:
-            coords[mu] %= self.dims[mu]
-        elif not 0 <= coords[mu] < self.dims[mu]:
-            return None
-        return self.site_index(coords)
-
-    # ----- links -----
-
-    def _build_links(self) -> None:
-        link_of = np.full((self.n_sites, self.ndim), -1, dtype=np.int32)
-        n_links = 0
-        for site in range(self.n_sites):
-            coords = self.site_coords(site)
-            for mu in range(self.ndim):
-                if (
-                    self.boundary is Boundary.OPEN
-                    and coords[mu] + 1 >= self.dims[mu]
-                ):
-                    continue
-                link_of[site, mu] = n_links
-                n_links += 1
-        self._link_of = link_of
-        self.n_links = n_links
-
-    def incident_links(self, site: int) -> list[tuple[int, int]]:
-        """(link index, site at the other end) pairs, ascending by link index."""
-        out = []
-        for mu in range(self.ndim):
-            fwd = int(self._link_of[site, mu])
-            if fwd >= 0:
-                out.append((fwd, self.shift_site(site, mu, +1)))
-            back = self.shift_site(site, mu, -1)
-            if back is not None:
-                bwd = int(self._link_of[back, mu])
-                if bwd >= 0:
-                    out.append((bwd, back))
-        out.sort()
-        return out
-
-    # ----- plaquettes -----
-
-    def _build_plaquettes(self) -> None:
-        rows: list[tuple[int, int, int, int]] = []
-        for site in range(self.n_sites):
-            for mu in range(self.ndim):
-                for nu in range(mu + 1, self.ndim):
-                    s_mu = self.shift_site(site, mu)
-                    s_nu = self.shift_site(site, nu)
-                    if s_mu is None or s_nu is None:
-                        continue
-                    quad = (
-                        int(self._link_of[site, mu]),
-                        int(self._link_of[s_mu, nu]),
-                        int(self._link_of[s_nu, mu]),
-                        int(self._link_of[site, nu]),
-                    )
-                    if any(l < 0 for l in quad):
-                        continue
-                    rows.append(quad)
-        self.n_plaquettes = len(rows)
-        self.plaq_links = np.asarray(rows, dtype=np.int32)
-
         link_plaqs: list[list[int]] = [[] for _ in range(self.n_links)]
-        for p, quad in enumerate(rows):
+        for p, quad in enumerate(self.plaq_links.tolist()):
             for l in quad:
                 link_plaqs[l].append(p)
         self._link_plaqs = tuple(tuple(ps) for ps in link_plaqs)
@@ -237,13 +182,17 @@ def gauge_fix(lattice: Lattice) -> GaugeFixing:
     BFS runs from site 0 visiting incident links in ascending link order, so
     the result is deterministic for a given lattice.
     """
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(lattice.n_sites)]
+    for link, (tail, head) in enumerate(lattice.link_ends.tolist()):
+        incident[tail].append((link, head))
+        incident[head].append((link, tail))
     visited = [False] * lattice.n_sites
     visited[0] = True
     tree: list[int] = []
     queue = deque([0])
     while queue:
         site = queue.popleft()
-        for link, other in lattice.incident_links(site):
+        for link, other in incident[site]:
             if not visited[other]:
                 visited[other] = True
                 tree.append(link)

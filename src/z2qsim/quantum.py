@@ -370,6 +370,8 @@ class Schedule:
     dt: float = 0.2
 
     def __post_init__(self):
+        # a StartKind or its value, else ValueError
+        object.__setattr__(self, "start", StartKind(self.start))
         # finite and >= 0, else ValueError; a float, so every ramp point is one
         object.__setattr__(self, "beta_target", Coupling(self.beta_target).beta)
         for name in ("total_time", "dt"):
@@ -392,9 +394,9 @@ class Schedule:
         return Coupling(self.beta_target * self.total_time / t_mid)
 
 
-def initial_state(n_qubits: int, start: StartKind) -> np.ndarray:
+def initial_state(n_qubits: int, start: StartKind | str) -> np.ndarray:
     dim = 1 << n_qubits
-    if start is StartKind.HOT:
+    if StartKind(start) is StartKind.HOT:
         return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     state = np.zeros(dim, dtype=np.complex128)
     state[0] = 1.0
@@ -418,8 +420,20 @@ def adiabatic_evolve(lattice: Lattice, gf: GaugeFixing, schedule: Schedule) -> n
 def expectation_plaquette(state: np.ndarray, lattice: Lattice, gf: GaugeFixing) -> float:
     """Born-rule mean plaquette of a statevector."""
     probs = np.abs(state) ** 2
+    total = _born_norm(probs, gf)
     ps = plaquette_sum_diagonal(lattice, gf)
-    return float((probs @ ps) / (probs.sum() * lattice.n_plaquettes))
+    return float((probs @ ps) / (total * lattice.n_plaquettes))
+
+
+def _born_norm(probs: np.ndarray, gf: GaugeFixing) -> float:
+    """Sum of the Born weights ``probs``; ValueError unless there is one per
+    basis state and their sum is finite and positive."""
+    if probs.shape != (1 << gf.n_free,):
+        raise ValueError(f"state has shape {probs.shape}, expected ({1 << gf.n_free},)")
+    total = probs.sum()
+    if not math.isfinite(total) or total <= 0:
+        raise ValueError("state has no norm")
+    return total
 
 
 def sample_configs(
@@ -437,12 +451,8 @@ def sample_configs(
     beta = Coupling(beta).beta  # finite and >= 0, else ValueError
     # |psi|^2, its normalisation and the CDF share one float64 buffer
     cdf = np.abs(np.asarray(state, dtype=np.complex128))
-    if cdf.shape != (1 << gf.n_free,):
-        raise ValueError(f"state has shape {cdf.shape}, expected ({1 << gf.n_free},)")
     np.square(cdf, out=cdf)
-    total = cdf.sum()
-    if not math.isfinite(total) or total <= 0:
-        raise ValueError("state has no norm")
+    total = _born_norm(cdf, gf)
     np.divide(cdf, total, out=cdf)
     np.cumsum(cdf, out=cdf)
     rng = np.random.default_rng(seed)

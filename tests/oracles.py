@@ -7,6 +7,7 @@ through the bit-mask path the package computes with, so it can check it.
 import numpy as np
 
 from z2qsim.classical import plaquette_products
+from z2qsim.lattice import Boundary
 
 
 def action(config, lattice, beta):
@@ -46,3 +47,13 @@ def link_site_dir(lattice, n):
     """(site, direction) of link n, read off the lattice's link table."""
     site, mu = np.argwhere(lattice._link_of == n)[0]
     return int(site), int(mu)
+
+
+def link_endpoints(lattice, n):
+    """(tail, head) sites of link n by coordinate arithmetic: the head is the
+    tail one step along the link's direction, wrapped when periodic."""
+    site, mu = link_site_dir(lattice, n)
+    coords = list(np.unravel_index(site, lattice.dims))
+    coords[mu] += 1
+    mode = "wrap" if lattice.boundary is Boundary.PERIODIC else "raise"
+    return site, int(np.ravel_multi_index(coords, lattice.dims, mode=mode))

@@ -94,8 +94,7 @@ def glauber_generator(lattice, gf, beta):
 def gauge_flip(config, lattice, site):
     """Gauge transformation with Lambda = -1 at one site: flip incident links."""
     out = config.copy()
-    for link, _ in lattice.incident_links(site):
-        out[link] = -out[link]
+    out[(lattice.link_ends == site).any(axis=1)] *= -1
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from functools import lru_cache
 
@@ -16,7 +17,7 @@ from z2qsim.lattice import (
     parity_sum,
     plaquette_masks,
 )
-from oracles import link_site_dir, staple_links
+from oracles import link_endpoints, link_site_dir, staple_links
 
 
 # Every D = 2..4 lattice with extents up to 5 and at most 24 free links.
@@ -31,15 +32,28 @@ SMALL_LATTICES = [
 ]
 
 
+# The first 16 hex digits of the sha256 of plaq_links, _link_of and the free
+# links (int64) of gauge_fix.  These orders are the ensemble file format and
+# the qubit order, so a change to any of them must show here.
+GEOMETRY_DIGESTS = [
+    ((2, 2, 2, 2), Boundary.OPEN, '9d2c0301cdd21ba2', 'c50c428a38fb8006', 'a831e9957c394a46'),
+    ((4, 4), Boundary.PERIODIC, '8d86e9043a74873c', 'afbc67011b6f94a5', 'a97d96e3c37d9d47'),
+    ((3, 3, 3), Boundary.PERIODIC, '3498b2ebe36d8143', '704383b74f03340b', '2dfa4788c69d7892'),
+    ((3, 3), Boundary.OPEN, 'ee00998f1e638741', '0c1f05c9c907d395', '0ae49235fc78ff63'),
+    ((3, 3), Boundary.PERIODIC, 'e5a70dead3476f25', '0c71fc3f18400ecf', '5a93a92530b47b4e'),
+    ((5, 4), Boundary.OPEN, '25fa1b5c4837c806', '7fc4d8aec427f717', 'c64587cfe77b20ca'),
+    ((2, 2, 3), Boundary.OPEN, '37e7bc152a5744b5', '63576baca142d1e7', '8afdd26076ef430c'),
+    ((2, 3, 4), Boundary.OPEN, '8e86377a0a669e10', 'bb6acf9727501d8b', 'cf7bddaf2088488f'),
+    ((3, 4, 5), Boundary.PERIODIC, '5d713a297fefcd52', '3a81be327ca8e97d', 'ebbdeb69a3a76e11'),
+    ((2, 3, 2, 3), Boundary.OPEN, '9d0edf598b2448f6', '0a73302542cbc8e9', 'ae1da8ce51ef88e4'),
+    ((3, 3, 3, 3), Boundary.PERIODIC, 'fab7aac666ebd1b1', 'ad2031b406f9fff2', 'ac0ec424f1b94a8d'),
+]
+
+
 @lru_cache(maxsize=None)
 def small_lattice(dims, boundary):
     lat = build_lattice(dims, boundary)
     return lat, gauge_fix(lat)
-
-
-def link_endpoints(lat, n):
-    site, mu = link_site_dir(lat, n)
-    return site, lat.shift_site(site, mu)
 
 
 def open_link_count(dims):
@@ -167,37 +181,53 @@ class TestCounts:
 
 
 class TestGeometry:
-    def test_site_coords_roundtrip(self):
-        lat = build_lattice((3, 2, 4))
-        for s in range(lat.n_sites):
-            assert lat.site_index(lat.site_coords(s)) == s
-
     def test_link_ordering_lexicographic(self, hypercube):
         lat, _ = hypercube
         pairs = [link_site_dir(lat, n) for n in range(lat.n_links)]
         assert pairs == sorted(pairs)
 
     def test_shift_off_open_edge_is_none(self):
+        # no link leaves (1, 0) along 0, and none ends at (0, 0)
         lat = build_lattice((2, 3))
-        edge = lat.site_index((1, 0))
-        assert lat.shift_site(edge, 0, +1) is None
-        assert lat.shift_site(lat.site_index((0, 0)), 1, -1) is None
+        edge = np.ravel_multi_index((1, 0), lat.dims)
+        corner = np.ravel_multi_index((0, 0), lat.dims)
+        assert lat._link_of[edge, 0] == -1
+        assert corner not in lat.link_ends[:, 1]
 
     def test_shift_wraps_periodic(self, torus3):
+        # the links along 0 out of (2, 1) and into it wrap round the torus
         lat, _ = torus3
-        s = lat.site_index((2, 1))
-        assert lat.site_coords(lat.shift_site(s, 0, +1)) == (0, 1)
-        assert lat.site_coords(lat.shift_site(s, 0, -1)) == (1, 1)
+        s = np.ravel_multi_index((2, 1), lat.dims)
+        ahead = np.ravel_multi_index((0, 1), lat.dims)
+        behind = np.ravel_multi_index((1, 1), lat.dims)
+        assert lat.link_ends[lat._link_of[s, 0]].tolist() == [s, ahead]
+        assert lat.link_ends[lat._link_of[behind, 0]].tolist() == [behind, s]
 
-    def test_incident_links_match_endpoints(self, cube2):
+    def test_incident_links_match_endpoints(self, cube2, torus3):
+        for lat, _ in (cube2, torus3):
+            assert lat.link_ends.shape == (lat.n_links, 2)
+            assert lat.link_ends.dtype == np.int32
+            for n in range(lat.n_links):
+                assert tuple(lat.link_ends[n].tolist()) == link_endpoints(lat, n)
+            # 3 links at every site of the open cube, 2 per direction on a torus
+            degree = 3 if lat.boundary is Boundary.OPEN else 2 * lat.ndim
+            assert (np.bincount(lat.link_ends.ravel(), minlength=lat.n_sites) == degree).all()
+
+    @pytest.mark.parametrize("dims,boundary,plaq,link_of,free", GEOMETRY_DIGESTS)
+    def test_geometry_digests(self, dims, boundary, plaq, link_of, free):
+        def digest(arr):
+            return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+
+        lat = build_lattice(dims, boundary)
+        assert digest(lat.plaq_links) == plaq
+        assert digest(lat._link_of) == link_of
+        assert digest(np.asarray(gauge_fix(lat).free, dtype=np.int64)) == free
+
+    def test_tables_read_only(self, cube2):
         lat, _ = cube2
-        degree_total = 0
-        for site in range(lat.n_sites):
-            for link, other in lat.incident_links(site):
-                a, b = link_endpoints(lat, link)
-                assert {a, b} == {site, other}
-            degree_total += len(lat.incident_links(site))
-        assert degree_total == 2 * lat.n_links
+        for arr in (lat._link_of, lat.link_ends, lat.plaq_links):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestPlaquettes:

@@ -591,6 +591,26 @@ class TestSchedule:
                 == adiabatic_evolve(lat, gf, python_beta).tobytes()
             )
 
+    def test_string_start_matches_enum(self, torus3):
+        # "hot" once ran the cold ramp: coupling_at tested identity with the enum
+        lat, gf = torus3
+        for start in StartKind:
+            by_name = Schedule(start.value, beta_target=0.7, total_time=2.0)
+            assert by_name.start is start
+            assert by_name.coupling_at(0) == Schedule(start, 0.7, 2.0).coupling_at(0)
+            state = initial_state(gf.n_free, start.value)
+            assert state.tobytes() == initial_state(gf.n_free, start).tobytes()
+            assert (
+                adiabatic_evolve(lat, gf, by_name).tobytes()
+                == adiabatic_evolve(lat, gf, Schedule(start, 0.7, 2.0)).tobytes()
+            )
+
+    def test_unknown_start_refused(self):
+        with pytest.raises(ValueError, match="'warm' is not a valid StartKind"):
+            Schedule("warm", beta_target=0.7, total_time=2.0)
+        with pytest.raises(ValueError, match="'warm' is not a valid StartKind"):
+            initial_state(3, "warm")
+
     def test_initial_states(self):
         hot = initial_state(3, StartKind.HOT)
         np.testing.assert_allclose(hot, np.full(8, 8 ** -0.5), atol=1e-15)
@@ -657,6 +677,16 @@ class TestExpectationAndSampling:
         lat, gf = hypercube
         state = initial_state(gf.n_free, StartKind.COLD)
         assert expectation_plaquette(state, lat, gf) == 1.0
+
+    def test_expectation_refuses_wrong_length(self, square2):
+        lat, gf = square2
+        with pytest.raises(ValueError, match=r"state has shape \(4,\), expected \(2,\)"):
+            expectation_plaquette(initial_state(2, StartKind.HOT), lat, gf)
+
+    def test_expectation_refuses_zero_state(self, square2):
+        lat, gf = square2
+        with pytest.raises(ValueError, match="state has no norm"):
+            expectation_plaquette(np.zeros(2, dtype=complex), lat, gf)
 
     def test_sample_from_basis_state(self, cube2):
         lat, gf = cube2
