@@ -205,6 +205,7 @@ def mcmc_run(
     _check_count("n_configs", n_configs, 1)
     _check_count("n_therm", n_therm, 0)
     _check_count("stride", stride, 1)
+    _check_count("seed", seed, 0)  # the header records it, and load reads it back as an int
     limits.check_free_links(gf.n_free, "mcmc_run", cap=limits.CHAIN_STATE_CAP)
     rng = np.random.default_rng(seed)
     links, uniforms = rng.spawn(2)

@@ -5,9 +5,15 @@ baseline ensembles), ``adiabatic`` (Trotterized sweeps over a T- or
 beta-grid), ``sample`` (sweep + projective measurement into an ensemble
 file), ``analyze`` (estimates from a stored ensemble).
 
+The parser holds the flag rules: ``exact`` and ``adiabatic`` take one of
+``--beta``/``--beta-grid`` (``adiabatic`` also one of ``--T``/``--T-grid``);
+``mcmc`` and ``sample`` take one ``--beta`` (``sample`` one ``--T``) and need
+``--out``.  ``--run-file PATH`` inserts PATH's ``key=value`` lines as flags
+right after the subcommand, so explicit flags still win.
+
 All tabular output is CSV with a reproducibility header of ``# key=value``
 lines.  Exit codes: 0 success, 2 usage or validation error, 3 enumeration
-cap exceeded, 4 I/O or file-format error.
+cap exceeded or out of memory, 4 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import sys
 
 from . import __version__, classical, ensemble, limits, quantum
 from .lattice import Boundary, build_lattice, count_free_links, count_links, gauge_fix
-from .quantum import Schedule, StartKind
+from .quantum import Schedule
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,17 +39,14 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(d) for d in text.split(","))
     except ValueError:
-        raise ValueError(f"--dims must be comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
-def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
+def _parse_grid(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} is empty")
-    return values
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
 
 
 def _expand_run_file(argv: list[str]) -> list[str]:
@@ -53,38 +56,26 @@ def _expand_run_file(argv: list[str]) -> list[str]:
     mirroring the long flags without their dashes.  Expanded flags are
     inserted right after the subcommand so explicit flags still win.
     """
-    path = None
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--run-file":
-            if i + 1 >= len(argv):
-                raise ValueError("--run-file needs a path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--run-file="):
-            path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(tok)
-        i += 1
-    if path is None:
+    pre = argparse.ArgumentParser(prog="z2q", add_help=False, allow_abbrev=False)
+    pre.add_argument("--run-file")
+    known, rest = pre.parse_known_args(argv)
+    if known.run_file is None:
         return rest
+    try:
+        with open(known.run_file) as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise OSError(f"cannot read run file: {exc}") from None
     tokens: list[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"run file line {line!r} is not key=value")
-            key, value = line.split("=", 1)
-            tokens.extend((f"--{key.strip()}", value.strip()))
-    if not rest:
-        raise ValueError("--run-file requires a subcommand on the command line")
-    return [rest[0], *tokens, *rest[1:]]
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"run file line {line!r} is not key=value")
+        key, value = line.split("=", 1)
+        tokens.extend((f"--{key.strip()}", value.strip()))
+    return [*rest[:1], *tokens, *rest[1:]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,43 +87,45 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     lattice_flags = argparse.ArgumentParser(add_help=False)
-    lattice_flags.add_argument("--dims", help="lattice extents, e.g. 2,2,2,2")
+    lattice_flags.add_argument("--dims", type=_parse_dims, help="lattice extents, e.g. 2,2,2,2")
     lattice_flags.add_argument("--boundary", choices=["open", "periodic"])
     lattice_flags.add_argument("--preset", choices=sorted(_PRESETS))
 
     beta_flags = argparse.ArgumentParser(add_help=False)
-    group = beta_flags.add_mutually_exclusive_group()
+    group = beta_flags.add_mutually_exclusive_group(required=True)
     group.add_argument("--beta", type=float)
-    group.add_argument("--beta-grid", dest="beta_grid")
+    group.add_argument("--beta-grid", dest="beta_grid", type=_parse_grid)
 
-    schedule_flags = argparse.ArgumentParser(add_help=False)
-    tgroup = schedule_flags.add_mutually_exclusive_group()
-    tgroup.add_argument("--T", dest="total_time", type=float)
-    tgroup.add_argument("--T-grid", dest="time_grid")
-    schedule_flags.add_argument("--dt", type=float, default=0.2)
-    schedule_flags.add_argument("--start", choices=["hot", "cold"], default="hot")
-
-    seed_flags = argparse.ArgumentParser(add_help=False)
-    seed_flags.add_argument("--seed", type=int, default=0)
+    # mcmc and sample write one ensemble at one coupling
+    ensemble_flags = argparse.ArgumentParser(add_help=False)
+    ensemble_flags.add_argument("--beta", type=float, required=True)
+    ensemble_flags.add_argument("--seed", type=int, default=0)
+    ensemble_flags.add_argument("--out", required=True, help="ensemble file to write")
 
     out_flags = argparse.ArgumentParser(add_help=False)
     out_flags.add_argument("--out", help="output path (default: stdout for CSV)")
 
+    schedule_flags = argparse.ArgumentParser(add_help=False)
+    schedule_flags.add_argument("--dt", type=float, default=0.2)
+    schedule_flags.add_argument("--start", choices=["hot", "cold"], default="hot")
+
     p = sub.add_parser("exact", parents=[lattice_flags, beta_flags, out_flags])
     p.set_defaults(runner=run_exact)
 
-    p = sub.add_parser("mcmc", parents=[lattice_flags, beta_flags, seed_flags, out_flags])
+    p = sub.add_parser("mcmc", parents=[lattice_flags, ensemble_flags])
     p.add_argument("--n-configs", dest="n_configs", type=int, default=10000)
     p.add_argument("--n-therm", dest="n_therm", type=int, default=100)
     p.add_argument("--stride", type=int, default=10)
     p.set_defaults(runner=run_mcmc)
 
     p = sub.add_parser("adiabatic", parents=[lattice_flags, beta_flags, schedule_flags, out_flags])
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--T", dest="total_time", type=float)
+    group.add_argument("--T-grid", dest="time_grid", type=_parse_grid)
     p.set_defaults(runner=run_adiabatic)
 
-    p = sub.add_parser(
-        "sample", parents=[lattice_flags, beta_flags, schedule_flags, seed_flags, out_flags]
-    )
+    p = sub.add_parser("sample", parents=[lattice_flags, ensemble_flags, schedule_flags])
+    p.add_argument("--T", dest="total_time", type=float, required=True)
     p.add_argument("--shots", type=int, default=10000)
     p.set_defaults(runner=run_sample)
 
@@ -148,7 +141,7 @@ def _resolve_lattice(args, context: str, cap: int | None = None):
     """The lattice of --dims/--boundary/--preset and its gauge fixing.  Its free
     links, counted in closed form, are first checked against the cap that the
     library applies first on the subcommand's path, so none too large is built."""
-    dims = _parse_dims(args.dims) if args.dims else None
+    dims = args.dims
     boundary = Boundary(args.boundary) if args.boundary else None
     if args.preset:
         preset_dims, preset_boundary = _PRESETS[args.preset]
@@ -162,26 +155,6 @@ def _resolve_lattice(args, context: str, cap: int | None = None):
     return lattice, gauge_fix(lattice)
 
 
-def _resolve_betas(args) -> tuple[float, ...]:
-    if args.beta_grid is not None:
-        betas = _parse_grid(args.beta_grid, "--beta-grid")
-    elif args.beta is not None:
-        betas = (args.beta,)
-    else:
-        raise ValueError("a coupling is required: pass --beta or --beta-grid")
-    return betas
-
-
-def _resolve_times(args) -> tuple[float, ...]:
-    if args.time_grid is not None:
-        times = _parse_grid(args.time_grid, "--T-grid")
-    elif args.total_time is not None:
-        times = (args.total_time,)
-    else:
-        raise ValueError("a schedule length is required: pass --T or --T-grid")
-    return times
-
-
 def _header_lines(args, lattice, **extras) -> list[str]:
     pairs = {
         "version": __version__,
@@ -190,7 +163,7 @@ def _header_lines(args, lattice, **extras) -> list[str]:
         "boundary": lattice.boundary.value,
     }
     pairs.update(extras)
-    return [f"# {k}={v}" for k, v in pairs.items() if v != "" and v is not None]
+    return [f"# {k}={v}" for k, v in pairs.items()]
 
 
 @contextlib.contextmanager
@@ -222,7 +195,7 @@ def _cell(value) -> str:
 
 def run_exact(args) -> int:
     lattice, gf = _resolve_lattice(args, "plaquette diagonal")
-    betas = _resolve_betas(args)
+    betas = args.beta_grid or (args.beta,)
     rows = list(zip(betas, classical.exact_expectation(lattice, gf, betas)))
     rows.sort()
     header = _header_lines(args, lattice, beta_grid=",".join(repr(b) for b in betas))
@@ -232,15 +205,10 @@ def run_exact(args) -> int:
 
 def run_mcmc(args) -> int:
     lattice, gf = _resolve_lattice(args, "mcmc_run", limits.CHAIN_STATE_CAP)
-    betas = _resolve_betas(args)
-    if len(betas) != 1:
-        raise ValueError("mcmc runs one coupling at a time; pass --beta")
-    if args.out is None:
-        raise ValueError("mcmc requires --out for the ensemble file")
     ens = classical.mcmc_run(
         lattice,
         gf,
-        betas[0],
+        args.beta,
         n_configs=args.n_configs,
         n_therm=args.n_therm,
         stride=args.stride,
@@ -253,14 +221,13 @@ def run_mcmc(args) -> int:
 
 def run_adiabatic(args) -> int:
     lattice, gf = _resolve_lattice(args, "statevector evolution")
-    betas = _resolve_betas(args)
-    times = _resolve_times(args)
+    betas = args.beta_grid or (args.beta,)
+    times = args.time_grid or (args.total_time,)
     if len(betas) > 1 and len(times) > 1:
         raise ValueError("vary one of --beta-grid and --T-grid, not both")
-    start = StartKind(args.start)
     # every grid point is validated before the first sweep runs
     schedules = [
-        Schedule(start=start, beta_target=beta, total_time=total_time, dt=args.dt)
+        Schedule(start=args.start, beta_target=beta, total_time=total_time, dt=args.dt)
         for beta in betas
         for total_time in times
     ]
@@ -269,7 +236,7 @@ def run_adiabatic(args) -> int:
         state = quantum.adiabatic_evolve(lattice, gf, schedule)
         p = quantum.expectation_plaquette(state, lattice, gf)
         norm = float(abs(state @ state.conj()) ** 0.5)
-        rows.append((schedule.beta_target, schedule.total_time, p, args.dt, start.value, norm))
+        rows.append((schedule.beta_target, schedule.total_time, p, args.dt, args.start, norm))
     rows.sort(key=lambda r: (r[0], r[1]))
     header = _header_lines(
         args,
@@ -279,7 +246,7 @@ def run_adiabatic(args) -> int:
         dt=repr(args.dt),
         # the step that ran depends on T alone: one value per T_grid entry
         dt_eff=",".join(repr(s.dt_eff) for s in schedules[: len(times)]),
-        start=start.value,
+        start=args.start,
     )
     _write_csv(args.out, header, ("beta", "T", "P", "dt", "start", "norm"), rows)
     return EXIT_OK
@@ -287,29 +254,23 @@ def run_adiabatic(args) -> int:
 
 def run_sample(args) -> int:
     lattice, gf = _resolve_lattice(args, "statevector evolution")
-    betas = _resolve_betas(args)
-    if len(betas) != 1:
-        raise ValueError("sample runs one coupling at a time; pass --beta")
-    times = _resolve_times(args)
-    if len(times) != 1:
-        raise ValueError("sample runs one schedule at a time; pass --T")
-    if args.out is None:
-        raise ValueError("sample requires --out for the ensemble file")
+    # sample_configs checks the count only after the sweep
     if args.shots < 1:
         raise ValueError("--shots must be positive")
-    start = StartKind(args.start)
-    schedule = Schedule(start=start, beta_target=betas[0], total_time=times[0], dt=args.dt)
+    schedule = Schedule(
+        start=args.start, beta_target=args.beta, total_time=args.total_time, dt=args.dt
+    )
     # the statevector is not bound here, so it is freed before the ensemble is saved
     ens = quantum.sample_configs(
         quantum.adiabatic_evolve(lattice, gf, schedule),
         lattice,
         gf,
         args.shots,
-        beta=betas[0],
+        beta=args.beta,
         seed=args.seed,
         extra={
-            "start": start.value,
-            "T": repr(times[0]),
+            "start": args.start,
+            "T": repr(args.total_time),
             "dt": repr(args.dt),
             "dt_eff": repr(schedule.dt_eff),
             "version": __version__,
@@ -387,35 +348,27 @@ def _observable_columns(name, plaq, beta):
     return [("action-density", -beta * sums / n_plaquettes)]
 
 
+# first match wins: every EnsembleFormatError is also a ValueError
+_EXIT_CODES = (
+    (limits.EnumerationCapError, EXIT_CAP),
+    (MemoryError, EXIT_CAP),
+    (ensemble.EnsembleFormatError, EXIT_IO),
+    (OSError, EXIT_IO),
+    (ValueError, EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_run_file(argv)
-    except OSError as exc:
-        print(f"error: cannot read run file: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(_expand_run_file(argv))
         return args.runner(args)
-    except limits.EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ensemble.EnsembleFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse: --help and --version, or a usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        note = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {note}{exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -448,6 +448,7 @@ def sample_configs(
     """Projectively measure every qubit ``n_shots`` times; returns the decoded
     gauge configurations as a quantum-sampler ensemble."""
     _check_count("n_shots", n_shots, 1)
+    _check_count("seed", seed, 0)  # the header records it, and load reads it back as an int
     beta = Coupling(beta).beta  # finite and >= 0, else ValueError
     # |psi|^2, its normalisation and the CDF share one float64 buffer
     cdf = np.abs(np.asarray(state, dtype=np.complex128))

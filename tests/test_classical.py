@@ -14,7 +14,7 @@ from z2qsim.classical import (
     plaquette_average,
     plaquette_products,
 )
-from z2qsim.ensemble import Sampler
+from z2qsim.ensemble import Sampler, load, save
 from z2qsim.lattice import build_lattice, gauge_fix
 from z2qsim.quantum import build_dense_hamiltonian
 from oracles import action, action_density, plaquette_bits, staple_links, staple_sum
@@ -552,6 +552,25 @@ class TestGlauberChain:
         ):
             with pytest.raises(ValueError):
                 mcmc_run(lat, gf, 0.7, **counts)
+
+    @pytest.mark.parametrize(
+        "seed", [None, True, 2.5, -1, "3", np.random.default_rng(1)],
+        ids=["none", "bool", "float", "negative", "str", "generator"],
+    )
+    def test_mcmc_refuses_bad_seed(self, square2, seed):
+        # the header records the seed and load reads it back as an int
+        lat, gf = square2
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            mcmc_run(lat, gf, 0.7, n_configs=3, seed=seed)
+
+    def test_mcmc_numpy_seed_round_trips(self, square3, tmp_path):
+        lat, gf = square3
+        ens = mcmc_run(lat, gf, 0.7, n_configs=7, stride=2, seed=np.int64(3))
+        save(ens, tmp_path / "m.dat")
+        back = load(tmp_path / "m.dat")
+        assert back.meta.seed == 3
+        ref = mcmc_run(lat, gf, 0.7, n_configs=7, stride=2, seed=3)
+        np.testing.assert_array_equal(back.configs, ref.configs)
 
     def test_mcmc_accepts_numpy_counts(self, square3):
         lat, gf = square3

@@ -466,3 +466,97 @@ class TestRunFile:
         rf = tmp_path / "run.cfg"
         rf.write_text("dims 2,2\n")
         assert main(["exact", "--run-file", str(rf)]) == EXIT_USAGE
+
+    def test_run_file_equals_form(self, tmp_path, capsys):
+        rf = tmp_path / "run.cfg"
+        rf.write_text("dims=2,2\nbeta=0.3\n")
+        assert main(["exact", f"--run-file={rf}"]) == EXIT_OK
+        assert repr(math.tanh(0.3))[:12] in capsys.readouterr().out
+
+    def test_run_file_before_subcommand(self, tmp_path, capsys):
+        rf = tmp_path / "run.cfg"
+        rf.write_text("dims=2,2\nbeta=0.3\n")
+        assert main(["--run-file", str(rf), "exact", "--beta", "0.9"]) == EXIT_OK
+        assert repr(math.tanh(0.9))[:12] in capsys.readouterr().out
+
+    def test_bare_run_file(self):
+        assert main(["exact", "--dims", "2,2", "--beta", "0.3", "--run-file"]) == EXIT_USAGE
+
+    def test_unreadable_run_file_message(self, tmp_path, capsys):
+        assert main(["exact", "--run-file", str(tmp_path)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: cannot read run file: ")
+
+
+class TestDeclaredRules:
+    """The parser refuses a command line that breaks a flag rule before any
+    lattice is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_lattice(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a usage error must be reported before the lattice is built")
+
+        monkeypatch.setattr(cli, "build_lattice", unreachable)
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--beta-grid", "0.7", "--T", "10"],
+        ["sample", "--beta", "0.7", "--T-grid", "10"],
+        ["mcmc", "--beta-grid", "0.7"],
+    ], ids=["sample-beta-grid", "sample-T-grid", "mcmc-beta-grid"])
+    def test_ensemble_runs_take_no_grid(self, tmp_path, argv):
+        out = tmp_path / "x.dat"
+        assert main([*argv, "--dims", "2,2", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_exact_needs_a_coupling(self):
+        assert main(["exact", "--dims", "2,2"]) == EXIT_USAGE
+
+    def test_beta_and_beta_grid_exclude_each_other(self):
+        assert main(["exact", "--dims", "2,2", "--beta", "0.3", "--beta-grid", "0.3"]) == EXIT_USAGE
+
+    def test_sample_needs_a_schedule(self, tmp_path):
+        out = tmp_path / "x.dat"
+        assert main(["sample", "--dims", "2,2", "--beta", "0.7", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_missing_flag_reported_before_cap(self, tmp_path, capsys):
+        out = tmp_path / "y.dat"
+        assert main(["mcmc", "--dims", "40,40,40", "--out", str(out)]) == EXIT_USAGE
+        assert "--beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--dims", ["--dims", "2,x", "--beta", "0.3"]),
+        ("--dims", ["--dims", "", "--beta", "0.3"]),
+        ("--beta-grid", ["--dims", "2,2", "--beta-grid", "0.1,,0.2"]),
+    ], ids=["dims-letter", "dims-empty", "grid-gap"])
+    def test_malformed_list(self, flag, argv, capsys):
+        assert main(["exact", *argv]) == EXIT_USAGE
+        assert f"argument {flag}: not comma-separated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["exact", "mcmc", "adiabatic", "sample", "analyze"])
+    def test_help(self, subcommand, capsys):
+        assert main([subcommand, "--help"]) == EXIT_OK
+        assert f"usage: z2q {subcommand}" in capsys.readouterr().out
+
+    def test_sample_usage_marks_required_flags(self, capsys):
+        assert main(["sample", "--help"]) == EXIT_OK
+        usage = " ".join(capsys.readouterr().out.split("\n\n", 1)[0].split())
+        for flag in ("--beta BETA", "--T TOTAL_TIME", "--out OUT"):
+            assert flag in usage
+            assert f"[{flag}]" not in usage
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("module,name,argv", [
+        (quantum, "sample_configs", ["sample", "--T", "1", "--shots", "100000000000"]),
+        (classical, "mcmc_run", ["mcmc", "--n-configs", "100000000000"]),
+    ], ids=["sample", "mcmc"])
+    def test_is_cap_error(self, tmp_path, monkeypatch, capsys, module, name, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(module, name, exhausted)
+        out = tmp_path / "x.dat"
+        assert main([*argv, "--dims", "2,2", "--beta", "0.7", "--out", str(out)]) == EXIT_CAP
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 745. GiB\n"
+        assert not out.exists()

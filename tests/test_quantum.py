@@ -14,7 +14,7 @@ from z2qsim.classical import (
     flip_probability,
     plaquette_average,
 )
-from z2qsim.ensemble import Sampler
+from z2qsim.ensemble import Sampler, load, save
 from z2qsim.lattice import Boundary, build_lattice, gauge_fix
 from z2qsim.quantum import (
     Schedule,
@@ -737,6 +737,27 @@ class TestExpectationAndSampling:
             with pytest.raises(ValueError, match="n_shots must be an integer >= 1"):
                 sample_configs(hot, lat, gf, n_shots, beta=0.1)
         assert sample_configs(hot, lat, gf, np.int64(5), beta=0.1).n_configs == 5
+
+    @pytest.mark.parametrize(
+        "seed", [None, True, 2.5, -1, "3", np.random.default_rng(1)],
+        ids=["none", "bool", "float", "negative", "str", "generator"],
+    )
+    def test_sample_refuses_bad_seed(self, square2, seed):
+        # the header records the seed and load reads it back as an int
+        lat, gf = square2
+        hot = initial_state(1, StartKind.HOT)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            sample_configs(hot, lat, gf, 5, beta=0.1, seed=seed)
+
+    def test_sample_numpy_seed_round_trips(self, square3, tmp_path):
+        lat, gf = square3
+        hot = initial_state(gf.n_free, StartKind.HOT)
+        ens = sample_configs(hot, lat, gf, 20, beta=0.1, seed=np.int64(3))
+        save(ens, tmp_path / "s.dat")
+        back = load(tmp_path / "s.dat")
+        assert back.meta.seed == 3
+        ref = sample_configs(hot, lat, gf, 20, beta=0.1, seed=3)
+        np.testing.assert_array_equal(back.configs, ref.configs)
 
 
 class TestSpectrum:
